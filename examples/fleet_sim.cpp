@@ -123,27 +123,6 @@ int main(int argc, char** argv) {
               (unsigned long long)result.encode_queue.encode_starts,
               (unsigned long long)result.encode_queue.coalesced_joins,
               result.encode_queue.peak_in_flight);
-#if VOLUT_OBS_ENABLED
-  // Per-shard hit rates read from the metrics registry — the same
-  // exposition a scrape endpoint would serve — rather than from FleetResult
-  // internals. run_fleet registers these under serve/cache/shard<i>/*.
-  const MetricsRegistry& reg = MetricsRegistry::global();
-  for (std::size_t s = 0; s < result.cache_shards.size(); ++s) {
-    const std::string prefix = "serve/cache/shard" + std::to_string(s);
-    const std::uint64_t hits = reg.counter_value(prefix + "/hits");
-    const std::uint64_t misses = reg.counter_value(prefix + "/misses");
-    const double rate =
-        hits + misses > 0 ? double(hits) / double(hits + misses) : 0.0;
-    std::printf("  shard %zu (replica %zu): %llu hits / %llu misses "
-                "(%.0f%% hit rate) [registry]\n",
-                s, s, (unsigned long long)hits, (unsigned long long)misses,
-                100.0 * rate);
-  }
-  std::printf("\nregistry exposition (serve/*):\n");
-  for (const auto& [name, value] : reg.counters_with_prefix("serve/")) {
-    std::printf("  %-44s %llu\n", name.c_str(), (unsigned long long)value);
-  }
-#else
   for (std::size_t s = 0; s < result.cache_shards.size(); ++s) {
     const EncodeCacheStats& shard = result.cache_shards[s];
     std::printf("  shard %zu (replica %zu): %llu hits / %llu misses "
@@ -151,7 +130,6 @@ int main(int argc, char** argv) {
                 s, s, (unsigned long long)shard.hits,
                 (unsigned long long)shard.misses, 100.0 * shard.hit_rate());
   }
-#endif
 
   std::printf("\nfleet QoE (normalized 0-100):\n");
   std::printf("  p50 %.1f   p95 %.1f   p99 %.1f   mean %.1f\n",

@@ -77,6 +77,14 @@ std::string EventLog::json_for(const std::vector<FleetEvent>& events) const {
   std::string out = "{\n  \"schema\": \"volut-fleet-events-v1\",\n";
   out += "  \"recorded\": " + std::to_string(recorded_) + ",\n";
   out += "  \"dropped\": " + std::to_string(dropped()) + ",\n";
+  out += "  \"counts\": {";
+  for (std::size_t t = 0; t < kFleetEventTypeCount; ++t) {
+    out += t == 0 ? "" : ", ";
+    out += "\"";
+    out += fleet_event_name(static_cast<FleetEventType>(t));
+    out += "\": " + std::to_string(counts_[t]);
+  }
+  out += "},\n";
   out += "  \"events\": [";
   bool first = true;
   char buf[160];

@@ -91,7 +91,9 @@ struct FleetEvent {
 /// ring wraps, the oldest events are dropped (counted in dropped()) but
 /// type_counts() still reflects every recorded event, so rollup-level
 /// determinism checks stay exact even under small capacities. Capacity 0
-/// disables retention entirely (record() still counts).
+/// disables retention entirely (record() still counts). run_fleet reads its
+/// admission and fault totals off type_counts(), so the log is the one
+/// record of those facts.
 class EventLog {
  public:
   explicit EventLog(std::size_t capacity = 0) : capacity_(capacity) {
@@ -121,9 +123,13 @@ class EventLog {
   }
 
   /// {"schema": "volut-fleet-events-v1", "recorded": N, "dropped": D,
+  ///  "counts": {"<type name>": n, ...},
   ///  "events": [{"t", "type", "session", "replica", "value"}, ...]}
+  /// "counts" holds type_counts() for every type (zeros included), so it
+  /// stays exact when the ring has dropped events.
   std::string to_json() const;
   /// Same shape, filtered to one session's events — the per-session export.
+  /// "recorded", "dropped" and "counts" still describe the whole log.
   std::string session_json(std::uint32_t session) const;
 
   /// Bit-identity: equal totals, per-type counts and retained events.

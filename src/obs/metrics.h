@@ -151,7 +151,7 @@ class Histogram {
 };
 
 /// Name -> instrument registry. Names are slash-separated paths
-/// ("spatial/knn_queries", "serve/cache/shard0/hits"); exposition sorts by
+/// ("spatial/knn_queries", "spatial/leaf_scans/avx2"); exposition sorts by
 /// name, and the Prometheus form rewrites path separators to underscores.
 class MetricsRegistry {
  public:

@@ -14,13 +14,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 
 namespace volut {
-
-class Counter;
 
 /// Identity of one encoded chunk artifact. `points_per_frame` and
 /// `content_seed` disambiguate the same logical video served at different
@@ -81,12 +77,6 @@ class EncodeCache {
   std::size_t entry_count() const { return index_.size(); }
   const EncodeCacheStats& stats() const { return stats_; }
 
-  /// Mirrors every stats_ bump into registry counters named
-  /// "<prefix>/hits", "<prefix>/misses", etc. The legacy stats() struct
-  /// stays authoritative; the registry copy feeds exposition, and
-  /// serve_fleet_test asserts the two never drift.
-  void set_metrics_prefix(std::string_view prefix);
-
   /// Serves `key` from cache if resident (counts a hit and refreshes LRU
   /// order); otherwise counts a miss, encodes-and-inserts `bytes` (evicting
   /// least-recently-used entries to fit), and returns false. Artifacts larger
@@ -126,16 +116,6 @@ class EncodeCache {
   std::unordered_map<EncodeCacheKey, LruList::iterator, EncodeCacheKeyHash>
       index_;
   EncodeCacheStats stats_;
-
-  /// Registry mirrors; null until set_metrics_prefix is called.
-  struct RegistryCounters {
-    Counter* hits = nullptr;
-    Counter* misses = nullptr;
-    Counter* evictions = nullptr;
-    Counter* insertions = nullptr;
-    Counter* oversized_rejects = nullptr;
-  };
-  RegistryCounters reg_;
 };
 
 }  // namespace volut

@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -47,8 +46,6 @@
 namespace volut {
 
 class EventLog;
-class Gauge;
-class Histogram;
 
 /// Consistent-hash ring: `shards` shards, each projected onto the ring at
 /// `vnodes_per_shard` pseudo-random points; a key hashes to the first vnode
@@ -189,11 +186,6 @@ class EncodeQueue {
   /// Hit/miss/eviction counters aggregated over every shard.
   EncodeCacheStats cache_stats() const;
 
-  /// Mirrors queue stats into "<prefix>/encode/..." registry counters and
-  /// each shard's stats into "<prefix>/cache/shard<s>/...". Legacy structs
-  /// stay authoritative; the registry copy feeds exposition.
-  void set_metrics_prefix(std::string_view prefix);
-
   /// Emits kEncodeComplete (and kCacheEvict) fleet events as encodes land in
   /// their shards. The log must outlive the queue; null detaches.
   void set_event_log(EventLog* log) { event_log_ = log; }
@@ -229,22 +221,13 @@ class EncodeQueue {
   EncodeQueueStats stats_;
   EncodeFaultPolicy fault_policy_;
 
-  /// Inserts a completed encode into its shard, bumping registry mirrors and
-  /// emitting the completion/eviction events — shared by complete_until and
+  /// Inserts a completed encode into its shard, bumping stats and emitting
+  /// the completion/eviction events — shared by complete_until and
   /// the synchronous zero-latency path.
   void finish_encode(const EncodeCacheKey& key, std::size_t bytes,
                      double time);
 
   EventLog* event_log_ = nullptr;
-  Counter* reg_starts_ = nullptr;
-  Counter* reg_coalesced_ = nullptr;
-  Counter* reg_completions_ = nullptr;
-  Counter* reg_failures_ = nullptr;
-  Counter* reg_retries_ = nullptr;
-  Counter* reg_give_ups_ = nullptr;
-  Counter* reg_abandoned_ = nullptr;
-  Histogram* reg_backoff_ = nullptr;
-  Gauge* reg_peak_in_flight_ = nullptr;
 };
 
 }  // namespace volut

@@ -10,7 +10,6 @@
 
 #include "src/abr/qoe.h"
 #include "src/metrics/chamfer.h"
-#include "src/obs/metrics.h"
 #include "src/sr/pipeline.h"
 #include "src/stream/server.h"
 
@@ -171,7 +170,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   // keyed by sim time, so it shares the run's bit-identity guarantee.
   EventLog log(config.event_log_capacity);
   queue.set_event_log(&log);
-  queue.set_metrics_prefix("serve");
   if (faults_armed && config.faults.encode_failure_rate > 0.0) {
     EncodeFaultPolicy policy;
     policy.attempt_fails = [&faults](std::uint64_t seq,
@@ -204,21 +202,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   std::vector<double> degraded_since(n_replicas, 0.0);
   std::vector<double> failover_latencies;
 
-  MetricsRegistry& reg = MetricsRegistry::global();
-  Counter& ctr_failovers = reg.counter("serve/fleet/failovers");
-  Counter& ctr_session_failures = reg.counter("serve/fleet/session_failures");
-  Counter& ctr_aborts = reg.counter("serve/fleet/downloads_aborted");
-  Counter& ctr_downshifts = reg.counter("serve/fleet/density_downshifts");
-  Counter& ctr_breaker_trips = reg.counter("serve/fleet/breaker_trips");
-  static constexpr double kFailoverBounds[] = {0.05, 0.1, 0.25, 0.5, 1.0,
-                                               2.0,  5.0, 10.0, 30.0};
-  static constexpr double kDegradedBounds[] = {0.5, 1.0,  2.5,  5.0,
-                                               10.0, 30.0, 60.0, 120.0};
-  Histogram& h_failover =
-      reg.histogram("serve/fleet/failover_seconds", kFailoverBounds);
-  Histogram& h_degraded =
-      reg.histogram("serve/fleet/degraded_interval_seconds", kDegradedBounds);
-
   FleetResult result;
   result.sessions.resize(n_clients);
   result.replica_of.assign(n_clients, kNoReplica);
@@ -242,9 +225,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     if (want) {
       degraded_since[r] = when;
     } else {
-      const double interval = when - degraded_since[r];
-      result.replicas[r].degraded_seconds += interval;
-      h_degraded.observe(interval);
+      result.replicas[r].degraded_seconds += when - degraded_since[r];
     }
     eff_degraded[r] = want;
   };
@@ -323,9 +304,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       c.replica = kNoReplica;
     }
     log.record(when, FleetEventType::kSessionFail, std::uint32_t(i), cr);
-    ctr_session_failures.add();
     c.state = ClientState::kFailed;
-    ++result.failed_sessions;
     --remaining;
   };
 
@@ -341,10 +320,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       result.replica_of[i] = r;
       ++result.replicas[r].sessions_assigned;
       const double latency = when - c.failover_since;
-      ++result.failovers;
       failover_latencies.push_back(latency);
-      ctr_failovers.add();
-      h_failover.observe(latency);
       log.record(when, FleetEventType::kFailoverComplete, std::uint32_t(i),
                  std::int32_t(r), latency);
       if (c.redo_startup) {
@@ -366,7 +342,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     ++load[r];
     result.replica_of[i] = r;
     ++result.replicas[r].sessions_assigned;
-    ++result.admitted;
     log.record(when, FleetEventType::kAdmit, std::uint32_t(i),
                std::int32_t(r));
     c.engine = std::make_unique<SessionEngine>(config.clients[i].session,
@@ -388,6 +363,21 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       c.state = ClientState::kIdle;
       c.t_next = when;
     }
+  };
+
+  /// Parks client i in the FIFO waiting room at `now` until its
+  /// max_wait_seconds deadline (callers check the room is enabled).
+  const auto enqueue_waiting = [&](std::size_t i) {
+    ClientRuntime& c = clients[i];
+    c.state = ClientState::kWaiting;
+    c.waiting_since = now;
+    c.t_next = std::isfinite(config.max_wait_seconds)
+                   ? now + config.max_wait_seconds
+                   : kInf;
+    waiting_room.push_back(i);
+    log.record(now, FleetEventType::kWaitEnqueue, std::uint32_t(i));
+    result.queue_depth_peak =
+        std::max(result.queue_depth_peak, waiting_room.size());
   };
 
   // FIFO admission: as long as a replica has a free slot, the head of the
@@ -436,9 +426,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         // the whole chunk on the new replica.
         const double discarded = links[r].abort_flow(c.flow_id);
         flow_owner[r].erase(c.flow_id);
-        ++result.downloads_aborted;
         result.bytes_discarded += discarded;
-        ctr_aborts.add();
         log.record(now, FleetEventType::kDownloadAbort, std::uint32_t(i),
                    std::int32_t(r), discarded);
         c.redo_chunk = !c.startup_flow;
@@ -468,15 +456,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       if (r2 != kNoReplica) {
         admit_client(i, r2, now);
       } else if (config.max_wait_seconds > 0.0) {
-        c.state = ClientState::kWaiting;
-        c.waiting_since = now;
-        c.t_next = std::isfinite(config.max_wait_seconds)
-                       ? now + config.max_wait_seconds
-                       : kInf;
-        waiting_room.push_back(i);
-        log.record(now, FleetEventType::kWaitEnqueue, std::uint32_t(i));
-        result.queue_depth_peak =
-            std::max(result.queue_depth_peak, waiting_room.size());
+        enqueue_waiting(i);
       } else {
         fail_session(i, now);
       }
@@ -551,7 +531,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
             breaker_until[r] =
                 done.time + config.recovery.breaker_reset_seconds;
             ++result.replicas[r].breaker_trips;
-            ctr_breaker_trips.add();
             log.record(done.time, FleetEventType::kBreakerTrip, kNoSession,
                        std::int32_t(r), double(consec_encode_failures[r]));
             refresh_degraded(r, done.time);
@@ -713,15 +692,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
           load, config.max_sessions_per_replica, down, eff_degraded);
       if (r == kNoReplica) {
         if (config.max_wait_seconds > 0.0) {
-          c.state = ClientState::kWaiting;
-          c.waiting_since = now;
-          c.t_next = std::isfinite(config.max_wait_seconds)
-                         ? now + config.max_wait_seconds
-                         : kInf;
-          waiting_room.push_back(i);
-          log.record(now, FleetEventType::kWaitEnqueue, std::uint32_t(i));
-          result.queue_depth_peak =
-              std::max(result.queue_depth_peak, waiting_room.size());
+          enqueue_waiting(i);
         } else {
           c.state = ClientState::kRejected;
           log.record(now, FleetEventType::kReject, std::uint32_t(i));
@@ -791,8 +762,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
               session.kind == SystemKind::kYuzuSr
                   ? (ratio < 1.0 ? session.yuzu_sr_seconds_per_chunk : 0.0)
                   : session.volut_sr_seconds_per_chunk * ratio;
-          ++result.degraded_chunks;
-          ctr_downshifts.add();
           log.record(now, FleetEventType::kDensityDownshift, std::uint32_t(i),
                      std::int32_t(c.replica), ratio);
         }
@@ -856,6 +825,17 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     stats.bits_drained = links[r].bits_drained();
     stats.uplink_trace_wraps = links[r].trace().wrap_count(now);
   }
+
+  // Fault and admission totals are read off the timeline, which records
+  // each of these facts exactly once (type totals survive ring wrap).
+  const auto total = [&log](FleetEventType type) {
+    return std::size_t(log.type_count(type));
+  };
+  result.admitted = total(FleetEventType::kAdmit);
+  result.failovers = total(FleetEventType::kFailoverComplete);
+  result.failed_sessions = total(FleetEventType::kSessionFail);
+  result.downloads_aborted = total(FleetEventType::kDownloadAbort);
+  result.degraded_chunks = total(FleetEventType::kDensityDownshift);
 
   queue.set_event_log(nullptr);  // log is about to move into the result
   result.timeline_events = log.recorded();

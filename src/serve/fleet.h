@@ -30,7 +30,8 @@
 // they convert to session errors), and degrade replicas (deprioritized by
 // routing, slower encodes, optional graceful one-bucket density downshift).
 // A circuit breaker marks a replica degraded after consecutive encode
-// failures. Every transition lands in the EventLog and obs counters.
+// failures. Every transition lands in the EventLog, which is also the one
+// source of the fleet's admission and fault totals in FleetResult.
 //
 // Determinism: the timeline is strictly ordered (time, then event class,
 // then client index), so a fleet run is bit-identical for any ThreadPool
@@ -154,6 +155,9 @@ struct FleetResult {
   std::vector<SessionResult> sessions;
   /// Replica each client was routed to; SIZE_MAX for rejected clients.
   std::vector<std::size_t> replica_of;
+  /// == events.type_count(kAdmit). This and the other fault totals marked
+  /// below are read off the event timeline at the end of the run; the
+  /// timeline records each such fact exactly once.
   std::size_t admitted = 0;
   std::size_t rejected = 0;
   /// Subset of `rejected` that queued in the waiting room first and timed
@@ -178,21 +182,25 @@ struct FleetResult {
   std::size_t unfinished_sessions = 0;
 
   // ---- fault & recovery accounting (all zero with an empty schedule) ----
-  /// Completed failovers: sessions re-admitted after their replica crashed.
+  /// Completed failovers: sessions re-admitted after their replica crashed
+  /// (== events.type_count(kFailoverComplete)).
   std::size_t failovers = 0;
   /// kFailoverStart -> kFailoverComplete latency per completed failover
   /// (0 when capacity was free; waiting-room time when it was not).
   Summary failover_time;
   /// Admitted sessions lost to faults: terminal encode failure, no-capacity
   /// failover with the waiting room disabled, or failover wait timeout.
-  /// Their partial session results stay in `sessions` and the QoE rollups.
+  /// Their partial session results stay in `sessions` and the QoE rollups
+  /// (== events.type_count(kSessionFail)).
   std::size_t failed_sessions = 0;
   /// In-flight downloads killed by replica crashes, and the partial bytes
-  /// the viewers had received and discarded.
+  /// the viewers had received and discarded. downloads_aborted ==
+  /// events.type_count(kDownloadAbort).
   std::size_t downloads_aborted = 0;
   double bytes_discarded = 0.0;
   /// Chunks gracefully downshifted one density bucket because their
-  /// replica was degraded (recovery.degrade_density_when_degraded).
+  /// replica was degraded (recovery.degrade_density_when_degraded);
+  /// == events.type_count(kDensityDownshift).
   std::size_t degraded_chunks = 0;
 
   Summary qoe;             // raw Eq. 10 sums over admitted sessions

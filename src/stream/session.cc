@@ -73,20 +73,27 @@ ChunkPlan SessionEngine::plan_chunk(double now,
                                     double observed_bandwidth_mbps) {
   ChunkPlan plan;
   plan.index = next_index_;
+  // The ABR inputs every adaptive system shares; only the chunk size the
+  // ABR sees and the SR cost it anticipates differ per system. Feeds the
+  // throughput estimator, so each plan builds exactly one context.
+  const auto make_ctx = [&](double full_bytes, double sr_seconds_full) {
+    AbrContext ctx;
+    ctx.throughput_mbps =
+        estimator_.estimate_mbps(observed_bandwidth_mbps * 0.8);
+    ctx.buffer_seconds = buffer_;
+    ctx.prev_density_ratio = prev_ratio_;
+    ctx.chunk_seconds = config_.chunk_seconds;
+    ctx.full_chunk_bytes = full_bytes;
+    ctx.sr_seconds_per_chunk_full = sr_seconds_full;
+    ctx.horizon = config_.mpc_horizon;
+    ctx.max_buffer_seconds = config_.max_buffer_seconds;
+    return ctx;
+  };
   switch (config_.kind) {
     case SystemKind::kVolutContinuous:
     case SystemKind::kVolutDiscrete: {
-      AbrContext ctx;
-      ctx.throughput_mbps =
-          estimator_.estimate_mbps(observed_bandwidth_mbps * 0.8);
-      ctx.buffer_seconds = buffer_;
-      ctx.prev_density_ratio = prev_ratio_;
-      ctx.chunk_seconds = config_.chunk_seconds;
-      ctx.full_chunk_bytes = full_bytes_;
-      ctx.sr_seconds_per_chunk_full = config_.volut_sr_seconds_per_chunk;
-      ctx.horizon = config_.mpc_horizon;
-      ctx.max_buffer_seconds = config_.max_buffer_seconds;
-      const AbrDecision d = abr_->decide(ctx);
+      const AbrDecision d = abr_->decide(
+          make_ctx(full_bytes_, config_.volut_sr_seconds_per_chunk));
       plan.density_ratio = d.density_ratio;
       plan.fetch_fraction = d.density_ratio;
       plan.quality = quality_score(d.density_ratio, config_.qoe, true);
@@ -94,19 +101,10 @@ ChunkPlan SessionEngine::plan_chunk(double now,
       break;
     }
     case SystemKind::kYuzuSr: {
-      AbrContext ctx;
-      ctx.throughput_mbps =
-          estimator_.estimate_mbps(observed_bandwidth_mbps * 0.8);
-      ctx.buffer_seconds = buffer_;
-      ctx.prev_density_ratio = prev_ratio_;
-      ctx.chunk_seconds = config_.chunk_seconds;
-      ctx.full_chunk_bytes = full_bytes_;
       // YuZu's ABR does not model its SR latency (the stalls the paper
       // attributes to slow SR under H3).
-      ctx.sr_seconds_per_chunk_full = 0.0;
-      ctx.horizon = config_.mpc_horizon;
-      ctx.max_buffer_seconds = config_.max_buffer_seconds;
-      const AbrDecision d = abr_->decide(ctx);
+      const AbrDecision d =
+          abr_->decide(make_ctx(full_bytes_, /*sr_seconds_full=*/0.0));
       plan.density_ratio = d.density_ratio;
       plan.fetch_fraction = d.density_ratio;
       plan.quality = quality_score(d.density_ratio, config_.qoe, true);
@@ -133,17 +131,9 @@ ChunkPlan SessionEngine::plan_chunk(double now,
           vivo_reference_, decision_pose, playback_pose, config_.vivo);
       // Density adaptation on top of visibility-aware fetching. Both
       // viewport culling (fewer bytes) and misprediction (lost coverage)
-      // come from the plan.
-      AbrContext ctx;
-      ctx.throughput_mbps =
-          estimator_.estimate_mbps(observed_bandwidth_mbps * 0.8);
-      ctx.buffer_seconds = buffer_;
-      ctx.prev_density_ratio = prev_ratio_;
-      ctx.chunk_seconds = config_.chunk_seconds;
-      ctx.full_chunk_bytes = full_bytes_ * vivo.fetch_fraction;
-      ctx.horizon = config_.mpc_horizon;
-      ctx.max_buffer_seconds = config_.max_buffer_seconds;
-      const AbrDecision d = abr_->decide(ctx);
+      // come from the plan. No client-side SR to anticipate.
+      const AbrDecision d = abr_->decide(make_ctx(
+          full_bytes_ * vivo.fetch_fraction, /*sr_seconds_full=*/0.0));
       plan.density_ratio = d.density_ratio;
       plan.fetch_fraction = d.density_ratio * vivo.fetch_fraction;
       plan.quality = quality_score(d.density_ratio, config_.qoe, false) *

@@ -1,6 +1,6 @@
 // Fault injection + failure recovery for the fleet serving layer.
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //   * FaultSchedule unit tests — window queries, stochastic determinism,
 //     pure encode-failure draws, config validation;
 //   * an empty-schedule regression pin — run_fleet with the default (empty)
@@ -9,12 +9,16 @@
 //   * recovery scenarios — replica crash (failover, waiting-room reuse,
 //     FIFO ordering, exact-deadline admission), uplink blackout, and encode
 //     failures (retry-until-success and terminal give-up), each proving the
-//     timeline terminates and the accounting adds up.
+//     timeline terminates and the accounting adds up;
+//   * event-derived accounting — the FleetResult totals read off the
+//     EventLog stay exact, in the result and the JSON dump, when the ring
+//     wraps.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/serve/faults.h"
@@ -361,6 +365,72 @@ TEST(FaultWaitingRoomTest, FailoverQueuesFifoBehindEarlierWaiters) {
   ASSERT_EQ(promote_order.size(), 2u);
   EXPECT_EQ(promote_order[0], 2u);
   EXPECT_EQ(promote_order[1], 0u);
+}
+
+// ------------------------------------------------ event-derived accounting
+
+/// Value of `"<name>": n` inside the "counts" object of an EventLog JSON
+/// dump; -1 when the object or the key is missing.
+long long json_count(const std::string& json, const char* name) {
+  const std::size_t open = json.find("\"counts\": {");
+  if (open == std::string::npos) return -1;
+  const std::size_t close = json.find('}', open);
+  const std::string key = std::string("\"") + name + "\": ";
+  const std::size_t at = json.find(key, open);
+  if (at == std::string::npos || at > close) return -1;
+  return std::stoll(json.substr(at + key.size()));
+}
+
+TEST(FaultAccountingTest, DerivedTotalsStayExactWhenTheRingWraps) {
+  // Crashes that abort downloads and fail sessions over (some outlast the
+  // 0.1 s waiting-room patience), a degradation window with density
+  // downshift, and encode failures that sometimes exhaust their retries:
+  // every event-derived total is live.
+  FleetConfig fleet = small_fleet(8, 2);
+  fleet.max_sessions_per_replica = 4;
+  fleet.max_wait_seconds = 0.1;
+  fleet.faults.seed = 11;
+  fleet.faults.crashes = {{/*replica=*/0, /*start=*/0.4, /*seconds=*/0.5},
+                          {1, 1.17, 0.2},
+                          {0, 1.53, 0.2}};
+  fleet.faults.degradations = {{/*replica=*/1, /*start=*/0.2, /*seconds=*/3.0}};
+  fleet.faults.encode_failure_rate = 0.2;
+  fleet.recovery.encode_max_attempts = 2;
+  fleet.recovery.encode_backoff_base_seconds = 0.05;
+  fleet.recovery.degrade_density_when_degraded = true;
+  const FleetResult full = run_fleet(fleet);
+  EXPECT_GT(full.admitted, 0u);
+  EXPECT_GT(full.failovers, 0u);
+  EXPECT_GT(full.failed_sessions, 0u);
+  EXPECT_GT(full.downloads_aborted, 0u);
+  EXPECT_GT(full.degraded_chunks, 0u);
+  ASSERT_EQ(full.events.dropped(), 0u);
+
+  fleet.event_log_capacity = 1;
+  const FleetResult r = run_fleet(fleet);
+  const EventLog& log = r.events;
+  ASSERT_GT(log.dropped(), 0u);
+  EXPECT_EQ(r.admitted, log.type_count(FleetEventType::kAdmit));
+  EXPECT_EQ(r.failovers, log.type_count(FleetEventType::kFailoverComplete));
+  EXPECT_EQ(r.failed_sessions, log.type_count(FleetEventType::kSessionFail));
+  EXPECT_EQ(r.downloads_aborted,
+            log.type_count(FleetEventType::kDownloadAbort));
+  EXPECT_EQ(r.degraded_chunks,
+            log.type_count(FleetEventType::kDensityDownshift));
+  EXPECT_EQ(r.admitted, full.admitted);
+  EXPECT_EQ(r.failovers, full.failovers);
+  EXPECT_EQ(r.failed_sessions, full.failed_sessions);
+  EXPECT_EQ(r.downloads_aborted, full.downloads_aborted);
+  EXPECT_EQ(r.degraded_chunks, full.degraded_chunks);
+
+  // The JSON dump carries the exact per-type totals despite the drops.
+  const std::string json = log.to_json();
+  for (std::size_t t = 0; t < kFleetEventTypeCount; ++t) {
+    const auto type = static_cast<FleetEventType>(t);
+    EXPECT_EQ(json_count(json, fleet_event_name(type)),
+              static_cast<long long>(log.type_count(type)))
+        << fleet_event_name(type);
+  }
 }
 
 }  // namespace

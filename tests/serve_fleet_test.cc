@@ -8,7 +8,6 @@
 #include <limits>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/serve/fleet.h"
 
 namespace volut {
@@ -202,44 +201,6 @@ TEST(FleetFaultSweepTest, ArmedScheduleBitIdenticalAcrossPoolWorkerCounts) {
         << "fault timeline diverged @ " << workers << " workers";
   }
 }
-
-#if VOLUT_OBS_ENABLED
-TEST(FleetSweepTest, RegistryCountersAgreeWithLegacyAccessors) {
-  // The registry mirrors (serve/encode/*, serve/cache/shard*/*) are bumped
-  // alongside the legacy stats structs; a run must leave both views equal,
-  // or a future refactor silently forked the two bookkeeping paths.
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.reset();
-  const FleetConfig fleet = sweep_config();
-  const FleetResult result = run_fleet(fleet);
-
-  EXPECT_EQ(reg.counter_value("serve/encode/starts"),
-            result.encode_queue.encode_starts);
-  EXPECT_EQ(reg.counter_value("serve/encode/coalesced_joins"),
-            result.encode_queue.coalesced_joins);
-  EXPECT_EQ(reg.counter_value("serve/encode/completions"),
-            result.encode_queue.completions);
-  ASSERT_EQ(result.cache_shards.size(), 2u);
-  for (std::size_t s = 0; s < result.cache_shards.size(); ++s) {
-    const std::string prefix =
-        "serve/cache/shard" + std::to_string(s) + "/";
-    EXPECT_EQ(reg.counter_value(prefix + "hits"),
-              result.cache_shards[s].hits)
-        << prefix;
-    EXPECT_EQ(reg.counter_value(prefix + "misses"),
-              result.cache_shards[s].misses)
-        << prefix;
-    EXPECT_EQ(reg.counter_value(prefix + "evictions"),
-              result.cache_shards[s].evictions)
-        << prefix;
-  }
-  // The timeline saw the same encode lifecycle the registry counted.
-  EXPECT_EQ(result.events.type_count(FleetEventType::kEncodeStart),
-            result.encode_queue.encode_starts);
-  EXPECT_EQ(result.events.type_count(FleetEventType::kEncodeComplete),
-            result.encode_queue.completions);
-}
-#endif  // VOLUT_OBS_ENABLED
 
 }  // namespace
 }  // namespace volut

@@ -47,8 +47,12 @@ std::uint64_t fingerprint(const InterpolationResult& r) {
   h = fnv1a(r.parents.data(),
             r.parents.size() * sizeof(std::array<std::uint32_t, 2>), h);
   for (std::size_t j = 0; j < r.new_neighbors.size(); ++j) {
-    const auto nbrs = r.new_neighbors[j];
-    h = fnv1a(nbrs.data(), nbrs.size() * sizeof(Neighbor), h);
+    // Field by field: Neighbor has tail padding after dist2, and those
+    // bytes are whatever the writer's stack or register held, not output.
+    for (const Neighbor& nb : r.new_neighbors[j]) {
+      h = fnv1a(&nb.index, sizeof(nb.index), h);
+      h = fnv1a(&nb.dist2, sizeof(nb.dist2), h);
+    }
   }
   return h;
 }
