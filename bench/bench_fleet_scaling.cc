@@ -9,7 +9,9 @@
 //   5. fault sweep: stochastic crash rate x uplink-blackout duty cycle
 //      (QoE tails, stall rate, failover count/latency, session failures),
 //   6. ThreadPool scaling of the measured-SR fan-out with a bit-identity
-//      check across 1/2/4/8 workers (same discipline as bench_micro_kernels).
+//      check across 1/2/4/8 workers (same discipline as bench_micro_kernels),
+//   7. simulator throughput (events/s) at 256, 1024 and 4096 sessions on a
+//      fixed 32-replica pool, with per-replica load held constant.
 // Every run reports QoE p50/p95/p99, stall rate, cache hit rate, bytes
 // served, waiting-room p50/p95 wait and peak queue depth (the latter three
 // also land in the --json records). VOLUT_BENCH_FLEET_SESSIONS overrides the
@@ -59,6 +61,29 @@ FleetConfig fleet_config(std::size_t sessions, std::size_t replicas,
   }
   fleet.rtt_seconds = 0.020;
   fleet.cache_budget_bytes = cache_mb << 20;
+  fleet.encode_seconds_full = 0.040;
+  return fleet;
+}
+
+/// Session scale-up on a fixed 32-replica pool for the simulator-throughput
+/// sweep: arrivals spread over 64 s and each uplink provisioned at 55% of
+/// its share of full-density demand, so per-replica contention stays put
+/// while the session count grows.
+FleetConfig scale_config(std::size_t sessions) {
+  constexpr std::size_t kReplicas = 32;
+  FleetConfig fleet;
+  fleet.clients = make_mixed_fleet(sessions, 64.0 / double(sessions),
+                                   /*max_chunks=*/20, /*video_scale=*/0.01);
+  const VideoServer server(fleet.clients.front().session.video);
+  const double full_mbps = server.chunk_bytes(1.0, 1.0) * 8.0 / 1e6;
+  const double mean_mbps =
+      full_mbps * double(sessions) / double(kReplicas) * 0.55;
+  for (std::size_t r = 0; r < kReplicas; ++r) {
+    fleet.replica_uplinks.push_back(BandwidthTrace::lte(
+        mean_mbps, mean_mbps * 0.2, 600.0, 200 + r));
+  }
+  fleet.rtt_seconds = 0.020;
+  fleet.cache_budget_bytes = std::size_t(64) << 20;
   fleet.encode_seconds_full = 0.040;
   return fleet;
 }
@@ -265,6 +290,26 @@ int main(int argc, char** argv) {
                "count");
       json.add(prefix + "/wall_ms", wall, "ms");
     }
+  }
+
+  bench::print_header(
+      "Simulator throughput: sessions on a fixed 32-replica pool");
+  std::printf("%-18s %10s %9s %12s\n", "sessions", "events", "wall ms",
+              "events/s");
+  bench::print_rule();
+  for (std::size_t sessions : {256u, 1024u, 4096u}) {
+    const FleetConfig fleet = scale_config(sessions);
+    Timer timer;
+    const FleetResult r = run_fleet(fleet);
+    const double wall = timer.elapsed_ms();
+    char label[64];
+    std::snprintf(label, sizeof(label), "%zu sessions", sessions);
+    std::printf("%-18s %10llu %9.0f %12.0f\n", label,
+                (unsigned long long)r.timeline_events, wall,
+                wall > 0.0 ? double(r.timeline_events) / (wall / 1000.0)
+                           : 0.0);
+    std::snprintf(label, sizeof(label), "%zu_sessions", sessions);
+    record_result(json, "scale32", label, r, wall);
   }
 
   bench::print_header(

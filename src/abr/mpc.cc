@@ -20,13 +20,14 @@ double evaluate_horizon(double ratio, const AbrContext& ctx,
 
   double buffer = ctx.buffer_seconds;
   double prev_q = quality_score(ctx.prev_density_ratio, qoe, sr_enabled);
+  // Every step of the horizon fetches at `ratio`, so its quality is fixed.
+  const double q = quality_score(ratio, qoe, sr_enabled);
   double total = 0.0;
   for (std::size_t i = 0; i < ctx.horizon; ++i) {
     const double busy_s = download_s + sr_s;
     const double stall = std::max(0.0, busy_s - buffer);
     buffer = std::max(0.0, buffer - busy_s) + ctx.chunk_seconds;
     buffer = std::min(buffer, ctx.max_buffer_seconds);
-    const double q = quality_score(ratio, qoe, sr_enabled);
     total += chunk_qoe(q, prev_q, stall, qoe);
     prev_q = q;
   }

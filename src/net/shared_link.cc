@@ -60,24 +60,31 @@ double SharedLink::abort_flow(std::uint64_t id) {
   throw std::invalid_argument("SharedLink::abort_flow: unknown flow id");
 }
 
-std::uint64_t SharedLink::start_flow(double bytes, const BandwidthTrace* cap) {
+std::uint64_t SharedLink::start_flow(double bytes, const BandwidthTrace* cap,
+                                     std::uint64_t owner) {
   Flow flow;
   flow.id = next_id_++;
   flow.total_bytes = std::max(0.0, bytes);
   flow.remaining_bits = flow.total_bytes * 8.0;
   flow.cap = cap;
+  flow.owner = owner;
   flows_.push_back(flow);
   flows_started_counter().add();
   return flow.id;
 }
 
-double SharedLink::flow_rate_bps(const Flow& flow, double t,
-                                 std::size_t n) const {
-  double rate = rate_scale_ * trace_.bandwidth_at(t) * 1e6 / double(n);
-  if (flow.cap != nullptr && !flow.cap->empty()) {
-    rate = std::min(rate, flow.cap->bandwidth_at(t) * 1e6);
+void SharedLink::fill_rates(double t) const {
+  const double share =
+      rate_scale_ * trace_.bandwidth_at(t) * 1e6 / double(flows_.size());
+  rates_.resize(flows_.size());
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const Flow& flow = flows_[i];
+    double rate = share;
+    if (flow.cap != nullptr && !flow.cap->empty()) {
+      rate = std::min(rate, flow.cap->bandwidth_at(t) * 1e6);
+    }
+    rates_[i] = rate;
   }
-  return rate;
 }
 
 double SharedLink::next_boundary(double t) const {
@@ -92,17 +99,15 @@ double SharedLink::next_boundary(double t) const {
   return b;
 }
 
-double SharedLink::next_completion_time(double now) const {
+double SharedLink::next_completion_time(double now, double horizon) const {
   if (flows_.empty()) return kInf;
   const std::size_t n = flows_.size();
-  std::vector<double> rem(n);
-  for (std::size_t i = 0; i < n; ++i) rem[i] = flows_[i].remaining_bits;
   double t = std::max(0.0, now);
   // A flow with nothing left to send (zero-byte artifact, or drained exactly
   // dry at a window edge) completes immediately — even on a dead link, where
   // the rate-gated segment walk below would never see it.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rem[i] <= 0.0) return t;
+  for (const Flow& f : flows_) {
+    if (f.remaining_bits <= 0.0) return t;
   }
   // A blackout (scale 0) pins every rate to zero until the caller flips the
   // scale back — that restore is the caller's own event, so report idle
@@ -118,16 +123,23 @@ double SharedLink::next_completion_time(double now) const {
       dead_span = std::max(dead_span, 2 * f.cap->sample_count() + 4);
     }
   }
+  std::vector<double>& rem = remaining_;
+  rem.resize(n);
+  for (std::size_t i = 0; i < n; ++i) rem[i] = flows_[i].remaining_bits;
   int idle_segments = 0;
   // Until the first completion the flow set is fixed, so shares are too:
   // walk trace segments draining every flow at its current rate. The
   // arithmetic intentionally matches advance() bit for bit.
   for (int guard = 0; guard < kMaxSegments; ++guard) {
+    // Every completion in a segment that starts after the horizon lies
+    // after the horizon too.
+    if (t > horizon) return kInf;
     const double boundary = next_boundary(t);
     const double window = boundary - t;
+    fill_rates(t);
     double best = kInf;
     for (std::size_t i = 0; i < n; ++i) {
-      const double rate = flow_rate_bps(flows_[i], t, n);
+      const double rate = rates_[i];
       if (rate <= 0.0) continue;
       if (rate * window >= rem[i]) {
         best = std::min(best, t + rem[i] / rate);
@@ -136,9 +148,8 @@ double SharedLink::next_completion_time(double now) const {
     if (best < kInf) return best;
     bool drained = false;
     for (std::size_t i = 0; i < n; ++i) {
-      const double rate = flow_rate_bps(flows_[i], t, n);
-      if (rate > 0.0) {
-        rem[i] -= rate * window;
+      if (rates_[i] > 0.0) {
+        rem[i] -= rates_[i] * window;
         drained = true;
       }
     }
@@ -167,7 +178,7 @@ std::vector<SharedLink::Completion> SharedLink::advance(double now,
         flows_completed_counter().add();
         bytes_completed_counter().add(
             std::uint64_t(std::llround(flows_[i].total_bytes)));
-        done.push_back({flows_[i].id, t});
+        done.push_back({flows_[i].id, t, flows_[i].owner});
         flows_.erase(flows_.begin() + std::ptrdiff_t(i));
       } else {
         ++i;
@@ -181,10 +192,8 @@ std::vector<SharedLink::Completion> SharedLink::advance(double now,
     const std::size_t n = flows_.size();
     const double boundary = next_boundary(t);
     const double segment_end = std::min(boundary, until);
-    std::vector<double> rates(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rates[i] = flow_rate_bps(flows_[i], t, n);
-    }
+    fill_rates(t);
+    const std::vector<double>& rates = rates_;
     // Earliest completion within this segment at the current shares;
     // lowest id wins ties (flows_ is in id order, strict < keeps the first).
     std::size_t winner = n;
@@ -212,7 +221,7 @@ std::vector<SharedLink::Completion> SharedLink::advance(double now,
       flows_completed_counter().add();
       bytes_completed_counter().add(
           std::uint64_t(std::llround(flows_[winner].total_bytes)));
-      done.push_back({flows_[winner].id, t_complete});
+      done.push_back({flows_[winner].id, t_complete, flows_[winner].owner});
       flows_.erase(flows_.begin() + std::ptrdiff_t(winner));
       t = t_complete;
       continue;

@@ -57,17 +57,30 @@ class SharedLink {
   /// Starts a `bytes`-sized download whose transfer begins at `now` (the
   /// caller accounts for RTT / server-side encode latency before that).
   /// `cap` (optional, unowned, must outlive the flow) rate-limits this flow
-  /// to the client's own access link. Returns the flow id.
-  std::uint64_t start_flow(double bytes, const BandwidthTrace* cap = nullptr);
+  /// to the client's own access link. `owner` is an opaque caller tag handed
+  /// back in the flow's Completion. Returns the flow id.
+  std::uint64_t start_flow(double bytes, const BandwidthTrace* cap = nullptr,
+                           std::uint64_t owner = 0);
 
   /// Earliest absolute completion time among active flows assuming no
   /// arrivals before it, or +inf when idle. Exact: advance(now, t) with the
   /// returned t completes that flow.
-  double next_completion_time(double now) const;
+  ///
+  /// `horizon` bounds the walk for callers that only need completions up to
+  /// it: whenever the unbounded result is <= horizon it is returned bit for
+  /// bit; otherwise the result is some value > horizon (+inf when the walk
+  /// stopped at a segment starting after horizon). So
+  /// min(horizon, next_completion_time(now, horizon)) is exact. The
+  /// `net/dead_trace_detections` counter fires only when a walk reaches the
+  /// zero-capacity cutoff before its horizon.
+  double next_completion_time(
+      double now,
+      double horizon = std::numeric_limits<double>::infinity()) const;
 
   struct Completion {
     std::uint64_t id = 0;
     double time = 0.0;
+    std::uint64_t owner = 0;  // the start_flow tag
   };
 
   /// Drains every active flow from `now` to `until` at its instantaneous
@@ -90,10 +103,13 @@ class SharedLink {
     double total_bytes = 0.0;
     double remaining_bits = 0.0;
     const BandwidthTrace* cap = nullptr;  // unowned
+    std::uint64_t owner = 0;
   };
 
-  /// Per-flow drain rate (bits/s) at time `t` with `n` active flows.
-  double flow_rate_bps(const Flow& flow, double t, std::size_t n) const;
+  /// Fills rates_ with every active flow's drain rate (bits/s) at time `t`:
+  /// the equal share of the scaled uplink, capped per flow by its access
+  /// link. The one rate formula both segment walks use.
+  void fill_rates(double t) const;
   /// Next piecewise-constant boundary after `t` across the uplink trace and
   /// every active flow's cap trace.
   double next_boundary(double t) const;
@@ -106,6 +122,10 @@ class SharedLink {
   double bytes_completed_ = 0.0;
   std::uint64_t flows_aborted_ = 0;
   double bytes_aborted_ = 0.0;
+  // single-threaded: per-segment scratch of the two walks, reused across
+  // calls so neither allocates; a SharedLink is driven by one event loop.
+  mutable std::vector<double> rates_;
+  mutable std::vector<double> remaining_;
 };
 
 }  // namespace volut

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "src/abr/qoe.h"
 #include "src/metrics/chamfer.h"
@@ -58,6 +59,106 @@ struct ClientRuntime {
   bool redo_startup = false;
   /// Idle at crash time: resume the next request at this time (not before).
   double resume_at = 0.0;
+};
+
+/// The states whose next transition is timed by ClientRuntime::t_next.
+bool is_timed(ClientState state) {
+  return state == ClientState::kPending || state == ClientState::kWaiting ||
+         state == ClientState::kIdle || state == ClientState::kRequested;
+}
+
+/// Due-time index over the clients in timed states: a min-heap of
+/// (t_next, client) with lazy invalidation, plus the set of clients due at
+/// the current instant. A heap entry is live only while its client is in a
+/// timed state with exactly that t_next; re-filing pushes a fresh entry and
+/// leaves the old one to be skipped. The event loop then costs O(log n) per
+/// transition instead of a scan over every client per phase.
+class DueIndex {
+ public:
+  explicit DueIndex(const std::vector<ClientRuntime>& clients)
+      : clients_(clients), in_due_(clients.size(), 0) {
+    for (std::size_t i = 0; i < clients.size(); ++i) push(i);
+  }
+
+  /// Earliest t_next over the timed clients, +inf when there is none.
+  double next_time() {
+    while (!heap_.empty() && !live(heap_.front())) pop();
+    return heap_.empty() ? kInf : heap_.front().first;
+  }
+
+  /// Moves every client due at `now` into the due set.
+  void collect(double now) {
+    while (!heap_.empty() && heap_.front().first <= now) {
+      const Entry entry = pop();
+      // A client re-filed at the same time twice has two live entries.
+      if (live(entry) && !in_due_[entry.second]) add_due(entry.second);
+    }
+  }
+
+  /// Re-files client i after its state or t_next changed at `now`: due now
+  /// joins the current due set (later phases of this instant see it), due
+  /// later goes on the heap. Members of the due set are re-filed by flush().
+  void update(std::size_t i, double now) {
+    if (in_due_[i] || !is_timed(clients_[i].state)) return;
+    if (clients_[i].t_next <= now) {
+      add_due(i);
+    } else {
+      push(i);
+    }
+  }
+
+  /// The clients due now in ascending index order — the order the phases
+  /// of one instant visit clients in.
+  const std::vector<std::size_t>& due() {
+    if (!sorted_) {
+      std::sort(due_.begin(), due_.end());
+      sorted_ = true;
+    }
+    return due_;
+  }
+
+  /// Ends the instant: due clients still in a timed state go back on the
+  /// heap, including any still due now (zero-RTT releases).
+  void flush() {
+    for (const std::size_t i : due_) {
+      in_due_[i] = 0;
+      push(i);
+    }
+    due_.clear();
+    sorted_ = true;
+  }
+
+ private:
+  using Entry = std::pair<double, std::size_t>;
+
+  bool live(const Entry& entry) const {
+    const ClientRuntime& c = clients_[entry.second];
+    return is_timed(c.state) && c.t_next == entry.first;
+  }
+  void push(std::size_t i) {
+    const ClientRuntime& c = clients_[i];
+    // A waiter with unbounded patience has no deadline to schedule.
+    if (!is_timed(c.state) || !(c.t_next < kInf)) return;
+    heap_.emplace_back(c.t_next, i);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  }
+  Entry pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const Entry entry = heap_.back();
+    heap_.pop_back();
+    return entry;
+  }
+  void add_due(std::size_t i) {
+    in_due_[i] = 1;
+    sorted_ = sorted_ && (due_.empty() || due_.back() < i);
+    due_.push_back(i);
+  }
+
+  const std::vector<ClientRuntime>& clients_;
+  std::vector<Entry> heap_;
+  std::vector<std::size_t> due_;
+  std::vector<char> in_due_;
+  bool sorted_ = true;
 };
 
 struct SrWorkItem {
@@ -158,8 +259,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   for (const BandwidthTrace& uplink : config.replica_uplinks) {
     links.emplace_back(uplink);
   }
-  std::vector<std::unordered_map<std::uint64_t, std::size_t>> flow_owner(
-      n_replicas);
   EncodeQueue queue(config.shard_cache_per_replica ? n_replicas : 1,
                     config.cache_budget_bytes);
   // single-threaded: run_fleet — the timeline below is the fleet's one
@@ -214,6 +313,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     clients[i].t_next = config.clients[i].arrival_seconds;
     expected_chunks += config.clients[i].session.max_chunks + 2;
   }
+  DueIndex due_index(clients);
 
   double now = 0.0;
 
@@ -291,6 +391,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     c.flow_bytes = c.plan.bytes;
     c.startup_flow = false;
     c.t_next = ready_at + config.rtt_seconds;
+    due_index.update(i, now);
   };
 
   /// Converts an admitted session into a fault casualty. The partial
@@ -331,11 +432,13 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         c.startup_flow = true;
       } else if (c.redo_chunk) {
         c.redo_chunk = false;
-        submit_request(i, /*fresh=*/false);
+        submit_request(i, /*fresh=*/false);  // re-files i itself
+        return;
       } else {
         c.state = ClientState::kIdle;
         c.t_next = std::max(c.resume_at, when);
       }
+      due_index.update(i, now);
       return;
     }
     c.replica = r;
@@ -363,6 +466,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       c.state = ClientState::kIdle;
       c.t_next = when;
     }
+    due_index.update(i, now);
   };
 
   /// Parks client i in the FIFO waiting room at `now` until its
@@ -375,6 +479,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
                    ? now + config.max_wait_seconds
                    : kInf;
     waiting_room.push_back(i);
+    due_index.update(i, now);
     log.record(now, FleetEventType::kWaitEnqueue, std::uint32_t(i));
     result.queue_depth_peak =
         std::max(result.queue_depth_peak, waiting_room.size());
@@ -425,7 +530,6 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         // The partial download is garbage to the client: discard and redo
         // the whole chunk on the new replica.
         const double discarded = links[r].abort_flow(c.flow_id);
-        flow_owner[r].erase(c.flow_id);
         result.bytes_discarded += discarded;
         log.record(now, FleetEventType::kDownloadAbort, std::uint32_t(i),
                    std::int32_t(r), discarded);
@@ -549,39 +653,32 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   }
   for (std::size_t iter = 0; remaining > 0 && iter < max_events; ++iter) {
     // Next event: a client transition (arrival, request release, waiting-
-    // room timeout), an encode completion, the earliest flow completion, or
-    // a fault boundary (window edge / breaker expiry).
-    double t_event = kInf;
-    for (const ClientRuntime& c : clients) {
-      if (c.state == ClientState::kPending ||
-          c.state == ClientState::kWaiting ||
-          c.state == ClientState::kIdle ||
-          c.state == ClientState::kRequested) {
-        t_event = std::min(t_event, c.t_next);
-      }
-    }
-    t_event = std::min(t_event, queue.next_ready());
-    for (const SharedLink& link : links) {
-      t_event = std::min(t_event, link.next_completion_time(now));
-    }
+    // room timeout), an encode completion, a fault boundary (window edge /
+    // breaker expiry), or the earliest flow completion. The uplinks come
+    // last: each walk stops once it passes the earliest event found so far.
+    double t_event = std::min(due_index.next_time(), queue.next_ready());
     if (faults_armed) {
       t_event = std::min(t_event, faults.next_transition_after(now));
       for (std::size_t r = 0; r < n_replicas; ++r) {
         if (breaker_open[r]) t_event = std::min(t_event, breaker_until[r]);
       }
     }
+    for (const SharedLink& link : links) {
+      t_event = std::min(t_event, link.next_completion_time(now, t_event));
+    }
     if (!(t_event < kInf)) break;  // stuck (e.g. an all-zero uplink trace)
+    const double t_prev = now;
+    now = t_event;
 
     // 1. Drain every uplink to the event time; settle completed chunks.
     for (std::size_t r = 0; r < n_replicas; ++r) {
-      for (const SharedLink::Completion& done : links[r].advance(now, t_event)) {
-        const auto owner = flow_owner[r].find(done.id);
-        if (owner == flow_owner[r].end()) {
+      for (const SharedLink::Completion& done : links[r].advance(t_prev, now)) {
+        const auto i = std::size_t(done.owner);
+        if (i >= n_clients || clients[i].state != ClientState::kDownloading ||
+            clients[i].replica != r || clients[i].flow_id != done.id) {
           throw std::logic_error(
               "run_fleet: uplink completed a flow no client owns");
         }
-        const std::size_t i = owner->second;
-        flow_owner[r].erase(owner);
         ClientRuntime& c = clients[i];
         log.record(done.time, FleetEventType::kDownloadFinish,
                    std::uint32_t(i), std::int32_t(r), c.flow_bytes);
@@ -589,6 +686,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
           c.startup_flow = false;
           c.state = ClientState::kIdle;
           c.t_next = done.time;
+          due_index.update(i, now);
           continue;
         }
         const double next_request =
@@ -619,10 +717,14 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         } else {
           c.state = ClientState::kIdle;
           c.t_next = next_request;
+          due_index.update(i, now);
         }
       }
     }
-    now = t_event;
+    // Phases 3, 5, 7 and 8 visit only the clients due now, in ascending
+    // index like a full scan would. Everything that re-times a client
+    // outside that set re-files it, so the set stays complete.
+    due_index.collect(now);
 
     // 2. Settle finished encode attempts: successes become cache-resident
     // now (requests from here on see hits), failures reschedule or turn
@@ -641,7 +743,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // Under faults the release re-checks the artifact: a retrying encode
     // pushes the release to its new completion time, a terminally failed
     // one kills the session, an evicted one is re-requested.
-    for (std::size_t i = 0; i < n_clients; ++i) {
+    for (const std::size_t i : due_index.due()) {
       ClientRuntime& c = clients[i];
       if (c.state != ClientState::kRequested || c.t_next > now) continue;
       if (faults_armed && !c.startup_flow &&
@@ -666,10 +768,8 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         }
       }
       const BandwidthTrace& downlink = config.clients[i].downlink;
-      const std::uint64_t id = links[c.replica].start_flow(
-          c.flow_bytes, downlink.empty() ? nullptr : &downlink);
-      flow_owner[c.replica][id] = i;
-      c.flow_id = id;
+      c.flow_id = links[c.replica].start_flow(
+          c.flow_bytes, downlink.empty() ? nullptr : &downlink, i);
       log.record(now, FleetEventType::kDownloadStart, std::uint32_t(i),
                  std::int32_t(c.replica), c.flow_bytes);
       c.state = ClientState::kDownloading;
@@ -685,7 +785,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // 5. Arrivals: admission control + least-loaded routing. When every
     // replica is at the cap the arrival queues (or, with the waiting room
     // disabled, is rejected on the spot).
-    for (std::size_t i = 0; i < n_clients; ++i) {
+    for (const std::size_t i : due_index.due()) {
       ClientRuntime& c = clients[i];
       if (c.state != ClientState::kPending || c.t_next > now) continue;
       const std::size_t r = route_arrival(
@@ -712,7 +812,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // failed-over session that cannot find capacity within its deadline is
     // a session failure. Runs after the admission drains, so an admission
     // at exactly the deadline wins.
-    for (std::size_t i = 0; i < n_clients; ++i) {
+    for (const std::size_t i : due_index.due()) {
       ClientRuntime& c = clients[i];
       if (c.state != ClientState::kWaiting || c.t_next > now) continue;
       std::erase(waiting_room, i);
@@ -735,7 +835,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // decides when the artifact is ready — a resident artifact releases
     // after one RTT, a fresh miss starts an encode, and a concurrent miss of
     // an in-flight key coalesces onto that encode and waits for it.
-    for (std::size_t i = 0; i < n_clients; ++i) {
+    for (const std::size_t i : due_index.due()) {
       ClientRuntime& c = clients[i];
       if (c.state != ClientState::kIdle || c.t_next > now) continue;
       c.plan = c.engine->plan_chunk(now, links[c.replica].share_mbps(now));
@@ -768,6 +868,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       }
       submit_request(i, /*fresh=*/true);
     }
+    due_index.flush();
   }
   result.sim_seconds = now;
   for (const ClientRuntime& c : clients) {

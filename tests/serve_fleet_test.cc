@@ -1,14 +1,19 @@
 // Integration sweep for the fleet simulator: a 64-session, 2-replica run
 // with single-flight encode queues, per-replica cache shards, the admission
 // waiting room and measured SR enabled, checked for bit-identical results
-// across 1/2/4/8 pool workers (the acceptance bar for the serve/ subsystem).
-// Labeled "integration" in ctest.
+// across 1/2/4/8 pool workers (the acceptance bar for the serve/ subsystem),
+// plus four ~128-session timelines pinned by digest. Labeled "integration"
+// in ctest.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "src/serve/fleet.h"
+#include "src/stream/server.h"
 
 namespace volut {
 namespace {
@@ -199,6 +204,100 @@ TEST(FleetFaultSweepTest, ArmedScheduleBitIdenticalAcrossPoolWorkerCounts) {
     EXPECT_EQ(run.timeline_events, reference.timeline_events);
     EXPECT_TRUE(run.events == reference.events)
         << "fault timeline diverged @ " << workers << " workers";
+  }
+}
+
+// ~128-session fleets on 4 replicas, each pinned by the FNV-1a digest of its
+// whole event timeline and its end time. The constants were captured from
+// the fleet event loop that scanned every client on every iteration, before
+// the due-time index and the horizon-bounded uplink walk replaced those
+// scans; any drift in event order, timestamps or values flips a digest.
+FleetConfig digest_config() {
+  FleetConfig fleet;
+  fleet.clients = make_mixed_fleet(/*n=*/128, /*arrival_spacing=*/0.125,
+                                   /*max_chunks=*/12, /*video_scale=*/0.01);
+  // Each uplink carries a quarter of the sessions at ~55% of their
+  // full-density demand, so flows contend and the ABR moves.
+  const VideoServer probe(fleet.clients.front().session.video);
+  const double mbps = probe.chunk_bytes(1.0, 1.0) * 8.0 / 1e6 * 32.0 * 0.55;
+  for (std::uint64_t r = 0; r < 4; ++r) {
+    fleet.replica_uplinks.push_back(
+        BandwidthTrace::lte(mbps, mbps * 0.2, 600.0, 40 + r));
+  }
+  fleet.rtt_seconds = 0.020;
+  fleet.encode_seconds_full = 0.040;
+  fleet.cache_budget_bytes = 16u << 20;
+  fleet.event_log_capacity = std::size_t(1) << 20;  // nothing drops
+  return fleet;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= std::uint8_t(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(FleetDigestTest, TimelinesMatchPinnedDigests) {
+  struct Case {
+    const char* name;
+    FleetConfig config;
+    std::uint64_t digest;
+    double sim_seconds;
+  };
+  std::vector<Case> cases;
+
+  cases.push_back({"fault_free", digest_config(), 0x87e6a6b0b476a9aeull,
+                   32.429634459296558});
+
+  FleetConfig faulted = digest_config();
+  faulted.faults.seed = 0x5EED13u;
+  faulted.faults.crash_rate_per_minute = 2.0;
+  faulted.faults.crash_restart_seconds = 3.0;
+  faulted.faults.blackout_rate_per_minute = 4.0;
+  faulted.faults.blackout_seconds = 1.5;
+  faulted.faults.brownout_rate_per_minute = 1.0;
+  faulted.faults.degrade_rate_per_minute = 0.5;
+  faulted.faults.encode_failure_rate = 0.05;
+  faulted.faults.crashes = {{0, 6.0, 2.0}};
+  faulted.recovery.degrade_density_when_degraded = true;
+  faulted.max_wait_seconds = 10.0;
+  faulted.max_sessions_per_replica = 24;
+  cases.push_back({"faults_waiting_room", faulted, 0xa4621162c06183f1ull,
+                   68.273960894410664});
+
+  FleetConfig instant = digest_config();
+  instant.rtt_seconds = 0.0;
+  instant.encode_seconds_full = 0.0;
+  cases.push_back({"zero_rtt_zero_encode", instant, 0x9e1be897fa387790ull,
+                   32.673576707677682});
+
+  FleetConfig patient = digest_config();
+  patient.max_wait_seconds = std::numeric_limits<double>::infinity();
+  patient.max_sessions_per_replica = 16;
+  cases.push_back({"unbounded_wait_capped", patient, 0x92bc7987d8a44205ull,
+                   34.547557040471503});
+
+  for (const Case& c : cases) {
+    const FleetResult r = run_fleet(c.config);
+    ASSERT_EQ(r.events.dropped(), 0u) << c.name;
+    EXPECT_TRUE(r.completed) << c.name;
+    const std::uint64_t digest = fnv1a(r.events.to_json());
+    char got[96];
+    std::snprintf(got, sizeof(got), "0x%016llxull, %.17g",
+                  (unsigned long long)digest, r.sim_seconds);
+    EXPECT_EQ(digest, c.digest) << c.name << ": got " << got;
+    EXPECT_EQ(r.sim_seconds, c.sim_seconds) << c.name << ": got " << got;
+    // Each config exercises the path it names.
+    if (c.config.max_sessions_per_replica != 0) {
+      EXPECT_GT(r.queue_depth_peak, 0u) << c.name;
+    }
+    if (!c.config.faults.empty()) {
+      EXPECT_GT(r.failovers, 0u) << c.name;
+      EXPECT_GT(r.encode_queue.retries, 0u) << c.name;
+    }
   }
 }
 

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "src/core/rng.h"
 #include "src/net/shared_link.h"
+#include "src/obs/metrics.h"
 #include "src/serve/encode_cache.h"
 #include "src/serve/encode_queue.h"
 #include "src/serve/fleet.h"
@@ -646,6 +649,81 @@ TEST(SharedLinkTest, DeadTraceReturnsInfinityQuickly) {
   // Must detect futility after ~one trace period, not walk 10M segments.
   EXPECT_EQ(link.next_completion_time(0.0),
             std::numeric_limits<double>::infinity());
+}
+
+TEST(SharedLinkTest, HorizonBoundedWalkIsExactUpToTheHorizon) {
+  // Seeded property sweep over random flow sets: LTE, stable and gappy
+  // uplinks, optional per-flow caps, rate scales including a blackout, and
+  // zero-byte flows. Whenever the unbounded completion is <= horizon the
+  // bounded walk must return it bit for bit; otherwise something > horizon.
+  const std::vector<BandwidthTrace> uplinks = {
+      BandwidthTrace::lte(40.0, 10.0, 60.0, 7),
+      BandwidthTrace::stable(25.0, 60.0),
+      BandwidthTrace({0.0, 6.0, 0.0, 0.0, 12.0}, 0.5),
+      BandwidthTrace::lte(5.0, 2.0, 30.0, 9)};
+  const std::vector<BandwidthTrace> caps = {
+      BandwidthTrace::lte(8.0, 3.0, 20.0, 11),
+      BandwidthTrace::stable(6.0, 20.0)};
+  const double scales[] = {1.0, 0.5, 0.0, 2.0};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  CounterRng rng(0x40A1204u);
+  std::size_t exact = 0;
+  std::size_t beyond = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SharedLink link(uplinks[rng.next(uplinks.size())]);
+    link.set_rate_scale(scales[rng.next(4)]);
+    const std::uint64_t flows = 1 + rng.next(8);
+    for (std::uint64_t f = 0; f < flows; ++f) {
+      const double bytes =
+          rng.next(10) == 0 ? 0.0 : 1e4 + double(rng.uniform()) * 4e6;
+      const BandwidthTrace* cap =
+          rng.next(3) == 0 ? &caps[rng.next(caps.size())] : nullptr;
+      link.start_flow(bytes, cap);
+    }
+    const double now = double(rng.uniform()) * 20.0;
+    // Half the trials start mid-transfer, with flows partly drained.
+    if (rng.next(2) == 0) link.advance(0.0, now);
+    const double unbounded = link.next_completion_time(now);
+    std::vector<double> horizons = {now, now + double(rng.uniform()) * 4.0,
+                                    now + 100.0,
+                                    std::numeric_limits<double>::infinity()};
+    if (std::isfinite(unbounded)) {
+      horizons.push_back(unbounded);
+      horizons.push_back(std::nextafter(unbounded, 0.0));
+      horizons.push_back(std::nextafter(unbounded, 1e300));
+    }
+    for (const double horizon : horizons) {
+      const double bounded = link.next_completion_time(now, horizon);
+      if (unbounded <= horizon) {
+        EXPECT_EQ(bits(bounded), bits(unbounded))
+            << "trial " << trial << " horizon " << horizon;
+        ++exact;
+      } else {
+        EXPECT_GT(bounded, horizon) << "trial " << trial;
+        ++beyond;
+      }
+    }
+  }
+  // The sweep reaches both sides of the contract.
+  EXPECT_GT(exact, 400u);
+  EXPECT_GT(beyond, 400u);
+}
+
+TEST(SharedLinkTest, DeadTraceDetectorFiresOnlyBeforeTheHorizon) {
+  Counter& detections =
+      MetricsRegistry::global().counter("net/dead_trace_detections");
+  SharedLink link(BandwidthTrace({0.0, 0.0}, 0.5));
+  link.start_flow(1e6);
+  const std::uint64_t before = detections.value();
+  // The horizon comes long before the zero-capacity cutoff.
+  EXPECT_EQ(link.next_completion_time(0.0, 1.0),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(detections.value(), before);
+  EXPECT_EQ(link.next_completion_time(0.0),
+            std::numeric_limits<double>::infinity());
+#if VOLUT_OBS_ENABLED
+  EXPECT_EQ(detections.value(), before + 1);
+#endif
 }
 
 TEST(FleetTest, DeadUplinkFlagsTruncatedRun) {
