@@ -186,7 +186,7 @@ class JsonReporter {
 // Observability dumps: every bench also accepts `--trace <path>` (Chrome
 // trace-event JSON of the TraceSpans hit during the run, loadable in
 // Perfetto / chrome://tracing) and `--metrics <path>` (MetricsRegistry
-// snapshot, volut-metrics-v1 JSON). Both flags are stripped before
+// snapshot, volut-metrics-v2 JSON). Both flags are stripped before
 // downstream parsers see argv, mirroring JsonReporter.
 // ---------------------------------------------------------------------------
 

@@ -4,38 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/obs/metrics.h"
-
 namespace volut {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // Bounds segment walks the same way BandwidthTrace::transfer_time does.
 constexpr int kMaxSegments = 10'000'000;
-
-Counter& flows_started_counter() {
-  static Counter& c = MetricsRegistry::global().counter("net/flows_started");
-  return c;
-}
-Counter& flows_completed_counter() {
-  static Counter& c =
-      MetricsRegistry::global().counter("net/flows_completed");
-  return c;
-}
-Counter& bytes_completed_counter() {
-  static Counter& c =
-      MetricsRegistry::global().counter("net/bytes_completed");
-  return c;
-}
-Counter& dead_trace_counter() {
-  static Counter& c =
-      MetricsRegistry::global().counter("net/dead_trace_detections");
-  return c;
-}
-Counter& flows_aborted_counter() {
-  static Counter& c = MetricsRegistry::global().counter("net/flows_aborted");
-  return c;
-}
 }  // namespace
 
 void SharedLink::set_rate_scale(double scale) {
@@ -53,7 +27,6 @@ double SharedLink::abort_flow(std::uint64_t id) {
         flows_[i].total_bytes - flows_[i].remaining_bits / 8.0;
     bytes_aborted_ += received;
     ++flows_aborted_;
-    flows_aborted_counter().add();
     flows_.erase(flows_.begin() + std::ptrdiff_t(i));
     return received;
   }
@@ -69,7 +42,6 @@ std::uint64_t SharedLink::start_flow(double bytes, const BandwidthTrace* cap,
   flow.cap = cap;
   flow.owner = owner;
   flows_.push_back(flow);
-  flows_started_counter().add();
   return flow.id;
 }
 
@@ -155,7 +127,7 @@ double SharedLink::next_completion_time(double now, double horizon) const {
     }
     idle_segments = drained ? 0 : idle_segments + 1;
     if (std::size_t(idle_segments) > dead_span) {
-      dead_trace_counter().add();
+      ++dead_trace_detections_;
       return kInf;
     }
     t = boundary;
@@ -175,9 +147,6 @@ std::vector<SharedLink::Completion> SharedLink::advance(double now,
     for (std::size_t i = 0; i < flows_.size();) {
       if (flows_[i].remaining_bits <= 0.0) {
         bytes_completed_ += flows_[i].total_bytes;
-        flows_completed_counter().add();
-        bytes_completed_counter().add(
-            std::uint64_t(std::llround(flows_[i].total_bytes)));
         done.push_back({flows_[i].id, t, flows_[i].owner});
         flows_.erase(flows_.begin() + std::ptrdiff_t(i));
       } else {
@@ -218,9 +187,6 @@ std::vector<SharedLink::Completion> SharedLink::advance(double now,
       }
       bits_drained_ += flows_[winner].remaining_bits;
       bytes_completed_ += flows_[winner].total_bytes;
-      flows_completed_counter().add();
-      bytes_completed_counter().add(
-          std::uint64_t(std::llround(flows_[winner].total_bytes)));
       done.push_back({flows_[winner].id, t_complete, flows_[winner].owner});
       flows_.erase(flows_.begin() + std::ptrdiff_t(winner));
       t = t_complete;

@@ -48,6 +48,13 @@ class SharedLink {
   std::uint64_t flows_aborted() const { return flows_aborted_; }
   double bytes_aborted() const { return bytes_aborted_; }
 
+  /// Completion walks that hit the zero-capacity futility cutoff: every
+  /// involved trace stayed dry for a couple of full periods, so nothing
+  /// would ever complete (a dead uplink, not a slow one).
+  std::uint64_t dead_trace_detections() const {
+    return dead_trace_detections_;
+  }
+
   /// Bandwidth (Mbps) a new flow admitted at `now` would start with — the
   /// equal share after joining. This is what the ABR gets to observe.
   double share_mbps(double now) const {
@@ -70,9 +77,9 @@ class SharedLink {
   /// it: whenever the unbounded result is <= horizon it is returned bit for
   /// bit; otherwise the result is some value > horizon (+inf when the walk
   /// stopped at a segment starting after horizon). So
-  /// min(horizon, next_completion_time(now, horizon)) is exact. The
-  /// `net/dead_trace_detections` counter fires only when a walk reaches the
-  /// zero-capacity cutoff before its horizon.
+  /// min(horizon, next_completion_time(now, horizon)) is exact.
+  /// dead_trace_detections() counts only walks that reach the zero-capacity
+  /// cutoff before their horizon.
   double next_completion_time(
       double now,
       double horizon = std::numeric_limits<double>::infinity()) const;
@@ -123,9 +130,11 @@ class SharedLink {
   std::uint64_t flows_aborted_ = 0;
   double bytes_aborted_ = 0.0;
   // single-threaded: per-segment scratch of the two walks, reused across
-  // calls so neither allocates; a SharedLink is driven by one event loop.
+  // calls so neither allocates, and the const walk's detector tally; a
+  // SharedLink is driven by one event loop.
   mutable std::vector<double> rates_;
   mutable std::vector<double> remaining_;
+  mutable std::uint64_t dead_trace_detections_ = 0;
 };
 
 }  // namespace volut

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/abr/qoe.h"
 #include "src/metrics/chamfer.h"
 #include "src/sr/pipeline.h"
 #include "src/stream/server.h"
@@ -854,14 +853,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         if (bucket > 1) {
           const double ratio =
               double(bucket - 1) / double(config.density_buckets);
-          c.plan.density_ratio = ratio;
-          c.plan.fetch_fraction = ratio;
-          c.plan.bytes = c.engine->full_chunk_bytes() * ratio;
-          c.plan.quality = quality_score(ratio, session.qoe, true);
-          c.plan.sr_seconds =
-              session.kind == SystemKind::kYuzuSr
-                  ? (ratio < 1.0 ? session.yuzu_sr_seconds_per_chunk : 0.0)
-                  : session.volut_sr_seconds_per_chunk * ratio;
+          c.plan = c.engine->at_density(c.plan, ratio);
           log.record(now, FleetEventType::kDensityDownshift, std::uint32_t(i),
                      std::int32_t(c.replica), ratio);
         }

@@ -94,25 +94,14 @@ ChunkPlan SessionEngine::plan_chunk(double now,
     case SystemKind::kVolutDiscrete: {
       const AbrDecision d = abr_->decide(
           make_ctx(full_bytes_, config_.volut_sr_seconds_per_chunk));
-      plan.density_ratio = d.density_ratio;
-      plan.fetch_fraction = d.density_ratio;
-      plan.quality = quality_score(d.density_ratio, config_.qoe, true);
-      plan.sr_seconds = config_.volut_sr_seconds_per_chunk * d.density_ratio;
-      break;
+      return at_density(plan, d.density_ratio);
     }
     case SystemKind::kYuzuSr: {
       // YuZu's ABR does not model its SR latency (the stalls the paper
       // attributes to slow SR under H3).
       const AbrDecision d =
           abr_->decide(make_ctx(full_bytes_, /*sr_seconds_full=*/0.0));
-      plan.density_ratio = d.density_ratio;
-      plan.fetch_fraction = d.density_ratio;
-      plan.quality = quality_score(d.density_ratio, config_.qoe, true);
-      // Neural SR cost scales with output points => flat at full density.
-      plan.sr_seconds = d.density_ratio < 1.0
-                            ? config_.yuzu_sr_seconds_per_chunk
-                            : 0.0;
-      break;
+      return at_density(plan, d.density_ratio);
     }
     case SystemKind::kVivo: {
       // Viewer motion runs on session-relative time: a client admitted at
@@ -147,6 +136,20 @@ ChunkPlan SessionEngine::plan_chunk(double now,
       break;
   }
   plan.bytes = full_bytes_ * plan.fetch_fraction;
+  return plan;
+}
+
+ChunkPlan SessionEngine::at_density(ChunkPlan plan, double ratio) const {
+  plan.density_ratio = ratio;
+  plan.fetch_fraction = ratio;
+  plan.bytes = full_bytes_ * ratio;
+  plan.quality = quality_score(ratio, config_.qoe, true);
+  // YuZu's neural SR cost scales with output points => flat whenever SR
+  // runs; VoLUT's LUT SR cost scales with the input density.
+  plan.sr_seconds = config_.kind == SystemKind::kYuzuSr
+                        ? (ratio < 1.0 ? config_.yuzu_sr_seconds_per_chunk
+                                       : 0.0)
+                        : config_.volut_sr_seconds_per_chunk * ratio;
   return plan;
 }
 

@@ -152,6 +152,12 @@ class SessionEngine {
   /// chunk, paired with complete_chunk.
   ChunkPlan plan_chunk(double now, double observed_bandwidth_mbps);
 
+  /// `plan` re-priced at density `ratio` on this session's SR ladder: bytes,
+  /// quality and the client SR cost all follow the ratio. The one owner of
+  /// that pricing for the SR-capable kinds (VoLUT, YuZu); plan_chunk and the
+  /// fleet's density downshift both go through it.
+  ChunkPlan at_density(ChunkPlan plan, double ratio) const;
+
   /// Applies download / SR-pipeline / buffer / QoE dynamics for a planned
   /// chunk issued at `issued_at` and fully received at `completed_at`.
   /// Returns the earliest time the client issues its next request.

@@ -1,9 +1,8 @@
 // Unit tests for the observability layer (src/obs/): metrics registry
-// exactness under pool hammering, histogram edge pinning, trace JSON shape,
+// exactness under pool hammering and JSON shape, trace JSON shape,
 // and fleet EventLog semantics including bit-identity across worker counts.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -16,9 +15,6 @@
 
 namespace volut {
 namespace {
-
-constexpr double kInfD = std::numeric_limits<double>::infinity();
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(MetricsRegistryTest, CounterExactUnderPoolHammering) {
   MetricsRegistry& reg = MetricsRegistry::global();
@@ -53,84 +49,16 @@ TEST(MetricsRegistryTest, HandlesAreStableAcrossReset) {
 #endif
 }
 
-TEST(MetricsRegistryTest, GaugeSetMaxRatchetsAndIgnoresNaN) {
-  Gauge gauge;
-  gauge.set_max(3.0);
-  gauge.set_max(1.0);  // lower: ignored
-  gauge.set_max(kNaN);
-#if VOLUT_OBS_ENABLED
-  EXPECT_DOUBLE_EQ(gauge.value(), 3.0);
-  gauge.set_max(7.5);
-  EXPECT_DOUBLE_EQ(gauge.value(), 7.5);
-#else
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
-#endif
-}
-
-TEST(HistogramTest, BucketEdgesPinnedLikeDensityBucket) {
-  Histogram h({1.0, 2.0, 4.0});
-  EXPECT_EQ(h.bucket_count(), 4u);
-  // Bounds are inclusive upper edges.
-  EXPECT_EQ(h.bucket_index(0.5), 0u);
-  EXPECT_EQ(h.bucket_index(1.0), 0u);
-  EXPECT_EQ(h.bucket_index(1.0000001), 1u);
-  EXPECT_EQ(h.bucket_index(2.0), 1u);
-  EXPECT_EQ(h.bucket_index(4.0), 2u);
-  EXPECT_EQ(h.bucket_index(4.1), 3u);  // overflow bucket
-  // Non-finite pinning, mirroring serve's density_bucket discipline.
-  EXPECT_EQ(h.bucket_index(kNaN), 0u);
-  EXPECT_EQ(h.bucket_index(-kInfD), 0u);
-  EXPECT_EQ(h.bucket_index(kInfD), 3u);
-}
-
-TEST(HistogramTest, ObserveCountsIntoBuckets) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const std::vector<double> bounds = {10.0, 100.0};
-  Histogram& h = reg.histogram("obs_test/hist", bounds);
-  h.reset();
-  h.observe(5.0);
-  h.observe(50.0);
-  h.observe(500.0);
-  h.observe(kNaN);
-#if VOLUT_OBS_ENABLED
-  EXPECT_EQ(h.bucket_value(0), 2u);  // 5.0 and the pinned NaN
-  EXPECT_EQ(h.bucket_value(1), 1u);
-  EXPECT_EQ(h.bucket_value(2), 1u);
-  EXPECT_EQ(h.total(), 4u);
-#else
-  EXPECT_EQ(h.total(), 0u);
-#endif
-  // First registration wins the bucket layout.
-  const std::vector<double> other = {1.0};
-  EXPECT_EQ(&reg.histogram("obs_test/hist", other), &h);
-  EXPECT_EQ(h.bounds().size(), 2u);
-}
-
-TEST(MetricsRegistryTest, CountersWithPrefixSortedAndFiltered) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("obs_test/prefix/b").add(2);
-  reg.counter("obs_test/prefix/a").add(1);
-  reg.counter("obs_test/other").add(9);
-  const auto rows = reg.counters_with_prefix("obs_test/prefix/");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].first, "obs_test/prefix/a");
-  EXPECT_EQ(rows[1].first, "obs_test/prefix/b");
-#if VOLUT_OBS_ENABLED
-  EXPECT_EQ(rows[0].second, 1u);
-  EXPECT_EQ(rows[1].second, 2u);
-#endif
-}
-
 TEST(MetricsRegistryTest, ExpositionShapes) {
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.counter("obs_test/json").add(1);
   const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"schema\": \"volut-metrics-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"volut-metrics-v2\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"obs_test/json\""), std::string::npos);
-  const std::string prom = reg.to_prometheus();
-  EXPECT_NE(prom.find("# TYPE volut_obs_test_json counter"),
-            std::string::npos);
+  // Counters only: no gauge or histogram objects.
+  EXPECT_EQ(json.find("\"gauges\""), std::string::npos);
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -406,6 +406,27 @@ TEST(FaultAccountingTest, DerivedTotalsStayExactWhenTheRingWraps) {
   EXPECT_GT(full.degraded_chunks, 0u);
   ASSERT_EQ(full.events.dropped(), 0u);
 
+  // Download conservation, from the EventLog and the link tallies alone:
+  // every started flow finishes or aborts, finished payloads add up to the
+  // bytes the uplinks completed, and aborted ones to the discarded bytes.
+  EXPECT_EQ(full.events.type_count(FleetEventType::kDownloadStart),
+            full.events.type_count(FleetEventType::kDownloadFinish) +
+                full.events.type_count(FleetEventType::kDownloadAbort));
+  double finished_bytes = 0.0;
+  double aborted_bytes = 0.0;
+  for (const FleetEvent& e : full.events.events()) {
+    if (e.type == FleetEventType::kDownloadFinish) finished_bytes += e.value;
+    if (e.type == FleetEventType::kDownloadAbort) aborted_bytes += e.value;
+  }
+  double link_bytes = 0.0;
+  for (const ReplicaStats& stats : full.replicas) {
+    link_bytes += stats.bytes_completed;
+  }
+  EXPECT_GT(link_bytes, 0.0);
+  EXPECT_NEAR(finished_bytes, link_bytes, 1e-9 * link_bytes);
+  EXPECT_GT(full.bytes_discarded, 0.0);
+  EXPECT_EQ(aborted_bytes, full.bytes_discarded);
+
   fleet.event_log_capacity = 1;
   const FleetResult r = run_fleet(fleet);
   const EventLog& log = r.events;

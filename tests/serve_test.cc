@@ -12,7 +12,6 @@
 
 #include "src/core/rng.h"
 #include "src/net/shared_link.h"
-#include "src/obs/metrics.h"
 #include "src/serve/encode_cache.h"
 #include "src/serve/encode_queue.h"
 #include "src/serve/fleet.h"
@@ -710,20 +709,15 @@ TEST(SharedLinkTest, HorizonBoundedWalkIsExactUpToTheHorizon) {
 }
 
 TEST(SharedLinkTest, DeadTraceDetectorFiresOnlyBeforeTheHorizon) {
-  Counter& detections =
-      MetricsRegistry::global().counter("net/dead_trace_detections");
   SharedLink link(BandwidthTrace({0.0, 0.0}, 0.5));
   link.start_flow(1e6);
-  const std::uint64_t before = detections.value();
   // The horizon comes long before the zero-capacity cutoff.
   EXPECT_EQ(link.next_completion_time(0.0, 1.0),
             std::numeric_limits<double>::infinity());
-  EXPECT_EQ(detections.value(), before);
+  EXPECT_EQ(link.dead_trace_detections(), 0u);
   EXPECT_EQ(link.next_completion_time(0.0),
             std::numeric_limits<double>::infinity());
-#if VOLUT_OBS_ENABLED
-  EXPECT_EQ(detections.value(), before + 1);
-#endif
+  EXPECT_EQ(link.dead_trace_detections(), 1u);
 }
 
 TEST(FleetTest, DeadUplinkFlagsTruncatedRun) {

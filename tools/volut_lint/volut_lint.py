@@ -513,7 +513,7 @@ MODULE_DEPS: dict[str, tuple[str, ...]] = {
     "obs": ("core", "platform"),
     "codec": ("core",),
     "nn": ("core",),
-    "net": ("core", "obs"),
+    "net": ("core",),
     "spatial": ("core", "platform", "obs"),
     "data": ("core", "spatial"),
     "metrics": ("core", "platform", "spatial"),
