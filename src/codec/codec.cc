@@ -1,5 +1,6 @@
 #include "src/codec/codec.h"
 
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -65,6 +66,15 @@ PointCloud decode_frame(const EncodedFrame& frame) {
   if (frame.payload.size() < frame.point_count * kBytesPerPoint) {
     throw std::runtime_error("decode_frame: truncated payload");
   }
+  // Bounds come off the wire: NaN, infinite or inverted ones would decode
+  // to non-finite positions, which the spatial index cannot bin. The
+  // negated <= also catches NaN, and a finite extent rules out infinities.
+  for (int a = 0; a < 3; ++a) {
+    if (!(frame.bounds.lo[a] <= frame.bounds.hi[a]) ||
+        !std::isfinite(frame.bounds.hi[a] - frame.bounds.lo[a])) {
+      throw std::runtime_error("decode_frame: non-finite or inverted bounds");
+    }
+  }
   const Vec3f lo = frame.bounds.lo;
   Vec3f ext = frame.bounds.extent();
   for (int a = 0; a < 3; ++a) ext[a] = std::max(ext[a], 1e-12f);
@@ -103,8 +113,10 @@ std::vector<std::uint8_t> serialize_chunk(const EncodedChunk& chunk) {
 EncodedChunk parse_chunk(const std::vector<std::uint8_t>& bytes) {
   EncodedChunk chunk;
   std::size_t off = 0;
+  // off <= bytes.size() always holds, so this side of the comparison
+  // cannot wrap, whatever n the stream claims.
   auto need = [&](std::size_t n) {
-    if (off + n > bytes.size()) {
+    if (n > bytes.size() - off) {
       throw std::runtime_error("parse_chunk: truncated stream");
     }
   };
@@ -115,9 +127,14 @@ EncodedChunk parse_chunk(const std::vector<std::uint8_t>& bytes) {
   need(sizeof(frame_count));
   std::memcpy(&frame_count, bytes.data() + off, sizeof(frame_count));
   off += sizeof(frame_count);
+  // Every frame carries at least its header, so the remaining bytes bound
+  // the count; check before the count sizes any allocation.
+  constexpr std::size_t kFrameHeaderBytes =
+      2 * sizeof(Vec3f) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  need(std::size_t(frame_count) * kFrameHeaderBytes);
   chunk.frames.resize(frame_count);
   for (EncodedFrame& f : chunk.frames) {
-    need(2 * sizeof(Vec3f) + sizeof(f.point_count) + sizeof(std::uint64_t));
+    need(kFrameHeaderBytes);
     std::memcpy(&f.bounds.lo, bytes.data() + off, sizeof(Vec3f));
     off += sizeof(Vec3f);
     std::memcpy(&f.bounds.hi, bytes.data() + off, sizeof(Vec3f));

@@ -11,32 +11,44 @@ namespace volut {
 
 namespace {
 
+/// Search-effort tallies, kept in locals by each search and flushed as one
+/// relaxed add per counter (knn_into: per query; self_knn_into: per call),
+/// so the leaf loop stays atomic-free. Leaf scans index by the SIMD level
+/// active at flush time — tests flip levels in-process via
+/// simd_force_level, so the level must never be cached.
+struct KnnTally {
+  std::uint64_t queries = 0;
+  std::uint64_t leaf_scans = 0;
+  std::uint64_t points_scanned = 0;
+  std::uint64_t heap_pushes = 0;
+
+  void flush() const {
 #if VOLUT_OBS_ENABLED
-/// Per-query search-effort counters, flushed once per knn_into. Leaf scans
-/// index by the SIMD level active at flush time — tests flip levels
-/// in-process via simd_force_level, so the level must never be cached.
-struct KnnCounters {
-  Counter* queries;
-  Counter* leaf_scans[3];  // indexed by SimdLevel
-  Counter* points_scanned;
-  Counter* heap_pushes;
+    struct Counters {
+      Counter* queries;
+      Counter* leaf_scans[3];  // indexed by SimdLevel
+      Counter* points_scanned;
+      Counter* heap_pushes;
+    };
+    static const Counters counters = [] {
+      MetricsRegistry& reg = MetricsRegistry::global();
+      return Counters{&reg.counter("spatial/knn_queries"),
+                      {&reg.counter("spatial/leaf_scans/scalar"),
+                       &reg.counter("spatial/leaf_scans/sse2"),
+                       &reg.counter("spatial/leaf_scans/avx2")},
+                      &reg.counter("spatial/points_scanned"),
+                      &reg.counter("spatial/heap_pushes")};
+    }();
+    counters.queries->add(queries);
+    counters.leaf_scans[static_cast<int>(simd_active_level())]->add(
+        leaf_scans);
+    counters.points_scanned->add(points_scanned);
+    counters.heap_pushes->add(heap_pushes);
+#endif
+  }
 };
 
-const KnnCounters& knn_counters() {
-  static const KnnCounters counters = [] {
-    MetricsRegistry& reg = MetricsRegistry::global();
-    KnnCounters c;
-    c.queries = &reg.counter("spatial/knn_queries");
-    c.leaf_scans[0] = &reg.counter("spatial/leaf_scans/scalar");
-    c.leaf_scans[1] = &reg.counter("spatial/leaf_scans/sse2");
-    c.leaf_scans[2] = &reg.counter("spatial/leaf_scans/avx2");
-    c.points_scanned = &reg.counter("spatial/points_scanned");
-    c.heap_pushes = &reg.counter("spatial/heap_pushes");
-    return c;
-  }();
-  return counters;
-}
-#endif
+constexpr std::uint32_t kNoExclude = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
@@ -140,13 +152,9 @@ void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
                       std::uint32_t exclude) const {
   if (empty()) return;
   const LeafScanFn scan = active_leaf_scan();
-#if VOLUT_OBS_ENABLED
-  // Local tallies, flushed as one relaxed add per counter at query exit so
-  // the leaf loop stays atomic-free.
-  std::uint64_t leaf_scans = 0;
-  std::uint64_t points_scanned = 0;
+  KnnTally tally;
+  tally.queries = 1;
   const std::uint64_t pushes_before = heap.pushes();
-#endif
   // Explicit-stack traversal (the hot path has no recursion): descend
   // toward the query, deferring each far subtree with the squared distance
   // to its splitting plane; after every leaf scan, resume the nearest
@@ -169,29 +177,124 @@ void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
     scan(soa_x_.data() + node->soa_begin, soa_y_.data() + node->soa_begin,
          soa_z_.data() + node->soa_begin, soa_idx_.data() + node->soa_begin,
          node->end - node->begin, query, index_offset, exclude, heap);
-#if VOLUT_OBS_ENABLED
-    ++leaf_scans;
-    points_scanned += node->end - node->begin;
-#endif
+    ++tally.leaf_scans;
+    tally.points_scanned += node->end - node->begin;
     // Prune with > (not >=): a subtree whose plane distance exactly equals
     // the current worst may still hold an equidistant neighbor that wins
     // the (distance, index) tie-break.
     do {
       if (sp == 0) {
-#if VOLUT_OBS_ENABLED
-        const KnnCounters& counters = knn_counters();
-        counters.queries->add();
-        counters.leaf_scans[static_cast<int>(simd_active_level())]->add(
-            leaf_scans);
-        counters.points_scanned->add(points_scanned);
-        counters.heap_pushes->add(heap.pushes() - pushes_before);
-#endif
+        tally.heap_pushes = heap.pushes() - pushes_before;
+        tally.flush();
         return;
       }
       --sp;
     } while (dist_stack[sp] > heap.worst_dist2());
     node_id = node_stack[sp];
   }
+}
+
+void KdTree::self_knn_into(NeighborBuffer& out) const {
+  const std::size_t k = out.stride();
+  if (empty() || k == 0) return;
+  const Top8ScanFn top8 = k <= Top8::kSlots ? active_top8_scan() : nullptr;
+  const LeafScanFn scan = active_leaf_scan();
+  KnnTally tally;
+  Top8 best;
+  // Each deferred subtree carries the per-axis offsets from the query to
+  // its box and their sum (ox*ox + oy*oy) + oz*oz — the association of
+  // distance2, so in float it never exceeds the distance of any point in
+  // the box (subtraction, squaring and addition are all monotone).
+  struct Deferred {
+    std::uint32_t node;
+    float bound;
+    float off[3];
+  };
+  Deferred stack[kMaxDepth];
+  for (std::uint32_t own = 0; own < nodes_.size(); ++own) {
+    const Node& own_leaf = nodes_[own];
+    if (own_leaf.axis >= 0) continue;
+    tally.queries += own_leaf.end - own_leaf.begin;
+    const std::uint32_t soa_end =
+        own_leaf.soa_begin + (own_leaf.end - own_leaf.begin);
+    for (std::uint32_t s = own_leaf.soa_begin; s < soa_end; ++s) {
+      const Vec3f query{soa_x_[s], soa_y_[s], soa_z_[s]};
+      const std::uint32_t self = soa_idx_[s];
+      const std::span<Neighbor> slot = out.slot(self);
+      // Report order is not leaf order, so the slot lies at a scattered
+      // arena offset: request its lines for writing now, letting the miss
+      // overlap the search instead of stalling the writes.
+      for (std::size_t j = 0; j < k; j += 64 / sizeof(Neighbor)) {
+        __builtin_prefetch(&slot[j], 1);
+      }
+      best.reset();
+      NeighborHeap heap(slot);
+      // Scans one leaf into the active collector and returns the pruning
+      // bound: the k-th best distance so far (+inf until k are held).
+      auto scan_leaf = [&](const Node& node, std::uint32_t exclude) {
+        ++tally.leaf_scans;
+        tally.points_scanned += node.end - node.begin;
+        const float* x = soa_x_.data() + node.soa_begin;
+        const float* y = soa_y_.data() + node.soa_begin;
+        const float* z = soa_z_.data() + node.soa_begin;
+        const std::uint32_t* idx = soa_idx_.data() + node.soa_begin;
+        if (top8 != nullptr) {
+          tally.heap_pushes += top8(x, y, z, idx, node.end - node.begin,
+                                    query, exclude, k, best);
+          return best.dist2[k - 1];
+        }
+        scan(x, y, z, idx, node.end - node.begin, query, /*index_offset=*/0,
+             exclude, heap);
+        return heap.worst_dist2();
+      };
+      float worst = scan_leaf(own_leaf, self);
+      int sp = 0;
+      std::uint32_t node_id = root_;
+      float off[3] = {0.0f, 0.0f, 0.0f};
+      for (;;) {
+        const Node* node = &nodes_[node_id];
+        while (node->axis >= 0) {
+          const float delta = query[node->axis] - node->split;
+          const bool left_near = delta < 0.0f;
+          // The near child keeps the parent's offsets; the far child's box
+          // lies across the split plane, |delta| away on this axis.
+          Deferred& far = stack[sp];
+          far.node = left_near ? node->right : node->left;
+          far.off[0] = off[0];
+          far.off[1] = off[1];
+          far.off[2] = off[2];
+          far.off[node->axis] = delta;
+          far.bound = (far.off[0] * far.off[0] + far.off[1] * far.off[1]) +
+                      far.off[2] * far.off[2];
+          // Prune with > (not >=), as knn_into does: a box at exactly the
+          // bound may hold an equidistant neighbor that wins on index.
+          sp += far.bound > worst ? 0 : 1;
+          node_id = left_near ? node->left : node->right;
+          node = &nodes_[node_id];
+        }
+        if (node_id != own) worst = scan_leaf(*node, kNoExclude);
+        while (sp > 0 && stack[sp - 1].bound > worst) --sp;
+        if (sp == 0) break;
+        --sp;
+        node_id = stack[sp].node;
+        off[0] = stack[sp].off[0];
+        off[1] = stack[sp].off[1];
+        off[2] = stack[sp].off[2];
+      }
+      if (top8 != nullptr) {
+        // Sentinel slots (fewer than k other points) are not reported.
+        std::size_t n = 0;
+        for (; n < k && best.index[n] != kNoExclude; ++n) {
+          slot[n] = {best.index[n], best.dist2[n]};
+        }
+        out.set_count(self, n);
+      } else {
+        tally.heap_pushes += heap.pushes();
+        out.set_count(self, heap.sort_ascending());
+      }
+    }
+  }
+  tally.flush();
 }
 
 Neighbor KdTree::nearest(const Vec3f& query) const {

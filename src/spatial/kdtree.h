@@ -57,6 +57,17 @@ class KdTree {
                 std::uint32_t exclude =
                     std::numeric_limits<std::uint32_t>::max()) const;
 
+  /// kNN of every point the tree indexes, excluding the point itself, with
+  /// k = out.stride(): the neighbors of the point reported as r land in
+  /// out.slot(r), with out.count(r) set — the list knn_into with
+  /// `exclude = r` gives. `out` must already be shaped to cover every
+  /// reported index. Queries run in leaf (SoA) order: each scans its own
+  /// leaf first for a tight bound, then walks the rest of the tree once,
+  /// pruning on the accumulated box distance. At the AVX2 level with
+  /// k <= 8 the best k stay in registers (Top8); other levels and wider k
+  /// collect into a NeighborHeap. Counters are flushed once per call.
+  void self_knn_into(NeighborBuffer& out) const;
+
   /// Index + squared distance of the single nearest neighbor, or
   /// {kNoNeighbor, +inf} when the tree is empty.
   Neighbor nearest(const Vec3f& query) const;

@@ -153,4 +153,9 @@ LeafScanFn leaf_scan_kernel(SimdLevel level) {
 
 LeafScanFn active_leaf_scan() { return leaf_scan_kernel(simd_active_level()); }
 
+Top8ScanFn active_top8_scan() {
+  return simd_active_level() == SimdLevel::kAvx2 ? avx2_top8_scan_kernel()
+                                                 : nullptr;
+}
+
 }  // namespace volut

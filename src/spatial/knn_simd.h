@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "src/core/vec3.h"
 
@@ -47,6 +48,36 @@ using LeafScanFn = void (*)(const float* x, const float* y, const float* z,
                             const std::uint32_t* idx, std::size_t count,
                             const Vec3f& query, std::uint32_t index_offset,
                             std::uint32_t exclude, NeighborHeap& heap);
+
+/// The best (up to) 8 candidates of one query, sorted ascending under
+/// Neighbor's (dist2, index) order. Unused slots hold the sentinel
+/// (+inf, UINT32_MAX), which sorts after every real candidate. The top-8
+/// kernel keeps this in one __m256 / __m256i pair while it scans a leaf.
+struct alignas(32) Top8 {
+  static constexpr std::size_t kSlots = 8;
+  float dist2[kSlots];
+  std::uint32_t index[kSlots];
+
+  /// Fills every slot with the sentinel.
+  void reset() {
+    for (std::size_t s = 0; s < kSlots; ++s) {
+      dist2[s] = std::numeric_limits<float>::infinity();
+      index[s] = std::numeric_limits<std::uint32_t>::max();
+    }
+  }
+};
+
+/// One leaf scan into a Top8 holding the k (<= 8) best so far: same inputs
+/// and arithmetic as LeafScanFn (no index offset), but candidates are
+/// inserted branch-free into registers instead of a NeighborHeap. A
+/// candidate is accepted only when it sorts before slot k-1, so slots
+/// [0, k) always hold the k smallest (dist2, index) pairs seen, exactly as
+/// a k-slot NeighborHeap would. Returns the number of accepted candidates.
+using Top8ScanFn = std::uint32_t (*)(const float* x, const float* y,
+                                     const float* z, const std::uint32_t* idx,
+                                     std::size_t count, const Vec3f& query,
+                                     std::uint32_t exclude, std::size_t k,
+                                     Top8& best);
 
 const char* simd_level_name(SimdLevel level);
 
@@ -75,10 +106,15 @@ void simd_clear_forced_level();
 LeafScanFn leaf_scan_kernel(SimdLevel level);
 LeafScanFn active_leaf_scan();
 
+/// The top-8 kernel when the active level is AVX2, else nullptr: scalar and
+/// SSE2 searches keep the NeighborHeap leaf scan.
+Top8ScanFn active_top8_scan();
+
 /// Per-arch kernel getters, defined in knn_simd_{sse2,avx2}.cc (the only TUs
 /// built with -msse2/-mavx2). Return nullptr when the backend was compiled
 /// out (non-x86 target or -DVOLUT_SIMD=OFF).
 LeafScanFn sse2_leaf_scan_kernel();
 LeafScanFn avx2_leaf_scan_kernel();
+Top8ScanFn avx2_top8_scan_kernel();
 
 }  // namespace volut

@@ -206,23 +206,21 @@ void TwoLayerOctree::batch_knn(std::size_t k, NeighborBuffer& out,
   auto run_cell_range = [&](std::size_t cell_begin, std::size_t cell_end) {
     for (std::size_t c = cell_begin; c < cell_end; ++c) {
       const Cell& cell = cells_[c];
+      // Own-cell search: a cell holding more than kk points answers every
+      // one of its queries itself, in leaf order (cell trees report global
+      // indices, so each list lands straight in its final slot).
+      if (!exact && cell.end - cell.begin > kk) {
+        cell.tree.self_knn_into(out);
+        continue;
+      }
+      // Exact search, and the spill for the rare under-populated cells,
+      // whose own-cell search could never fill k slots.
       for (std::uint32_t fi = cell.begin; fi < cell.end; ++fi) {
-        // The query's arena slot backs the heap; cell trees report global
-        // indices directly, so the sorted slot is the final answer.
+        // The query's arena slot backs the heap, so the sorted slot is the
+        // final answer.
         const std::uint32_t g = flat_to_global_[fi];
-        const std::span<Neighbor> storage = out.slot(g);
-        NeighborHeap heap(storage);
-        if (exact) {
-          knn_into(flat_points_[fi], heap, g);
-        } else {
-          // Own-cell search only; spill to the full search just for the
-          // rare under-populated cells.
-          cell.tree.knn_into(flat_points_[fi], heap, /*index_offset=*/0, g);
-          if (!heap.full()) {
-            heap.clear();
-            knn_into(flat_points_[fi], heap, g);
-          }
-        }
+        NeighborHeap heap(out.slot(g));
+        knn_into(flat_points_[fi], heap, g);
         out.set_count(g, heap.sort_ascending());
       }
     }

@@ -1,8 +1,12 @@
 // Tests for the wire codec, chunk serialization, NPY and PLY I/O.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "src/codec/codec.h"
 #include "src/codec/npy.h"
@@ -82,6 +86,69 @@ TEST(CodecTest, ParseTruncatedThrows) {
   auto bytes = serialize_chunk(chunk);
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(parse_chunk(bytes), std::runtime_error);
+}
+
+/// The chunk header and frame count of a serialized chunk, followed by
+/// `tail`: the smallest stream parse_chunk reads a frame count from.
+std::vector<std::uint8_t> chunk_prefix(std::uint32_t frame_count,
+                                       const std::vector<std::uint8_t>& tail) {
+  auto bytes = serialize_chunk(EncodedChunk{});
+  bytes.resize(sizeof(ChunkHeader));
+  const auto* count = reinterpret_cast<const std::uint8_t*>(&frame_count);
+  bytes.insert(bytes.end(), count, count + sizeof(frame_count));
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  return bytes;
+}
+
+TEST(CodecTest, ParseRejectsFrameCountBeyondTheStream) {
+  // A 24-byte body claiming ~4 billion frames must be refused before the
+  // frame vector is sized from the count (tens of GB).
+  const auto hostile = chunk_prefix(0xFFFFFFF0u, {});
+  ASSERT_EQ(hostile.size(), 24u);
+  EXPECT_THROW(parse_chunk(hostile), std::runtime_error);
+  // One frame header short of the claimed two frames.
+  EncodedChunk two;
+  two.frames.resize(2);
+  auto bytes = serialize_chunk(two);
+  EXPECT_EQ(parse_chunk(bytes).frames.size(), 2u);
+  bytes.pop_back();
+  EXPECT_THROW(parse_chunk(bytes), std::runtime_error);
+}
+
+TEST(CodecTest, ParseRejectsWrappingPayloadSize) {
+  // A payload_size near 2^64 would wrap `off + n` past the bounds check;
+  // the parser must still report a truncated stream, not length_error.
+  EncodedChunk chunk;
+  chunk.frames.resize(1);
+  auto bytes = serialize_chunk(chunk);
+  const std::uint64_t huge = ~std::uint64_t{0} - 8;
+  std::memcpy(bytes.data() + bytes.size() - sizeof(huge), &huge, sizeof(huge));
+  try {
+    parse_chunk(bytes);
+    ADD_FAILURE() << "parse_chunk accepted a 2^64-byte payload";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "parse_chunk: truncated stream");
+  }
+}
+
+TEST(CodecTest, DecodeRejectsNonFiniteOrInvertedBounds) {
+  const EncodedFrame good = encode_frame(random_cloud(20, 6));
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big = std::numeric_limits<float>::max();
+  for (const auto& [lo, hi] : std::vector<std::pair<float, float>>{
+           {nan, 1.0f}, {0.0f, nan}, {-inf, 1.0f}, {0.0f, inf},
+           {2.0f, 1.0f}, {-big, big}}) {
+    EncodedFrame frame = good;
+    frame.bounds.lo.y = lo;
+    frame.bounds.hi.y = hi;
+    EXPECT_THROW(decode_frame(frame), std::runtime_error)
+        << "lo " << lo << " hi " << hi;
+  }
+  // Empty frames keep their inverted empty-box bounds and decode as before.
+  EncodedFrame empty = encode_frame(PointCloud{});
+  empty.bounds.lo.x = nan;
+  EXPECT_TRUE(decode_frame(empty).empty());
 }
 
 TEST(NpyTest, HalfRoundTrip) {

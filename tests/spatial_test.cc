@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <vector>
 
 #include "src/core/rng.h"
 #include "src/core/vec3.h"
+#include "src/obs/metrics.h"
 #include "src/platform/thread_pool.h"
 #include "src/spatial/kdtree.h"
 #include "src/spatial/knn.h"
@@ -60,19 +62,6 @@ TEST(NeighborHeapTest, WorstDistInfiniteUntilFull) {
   EXPECT_TRUE(std::isinf(heap.worst_dist2()));
   heap.push(1, 2.0f);
   EXPECT_FLOAT_EQ(heap.worst_dist2(), 2.0f);
-}
-
-TEST(NeighborHeapTest, ClearReusesStorage) {
-  std::array<Neighbor, 2> storage;
-  NeighborHeap heap(storage);
-  heap.push(0, 5.0f);
-  heap.push(1, 1.0f);
-  EXPECT_TRUE(heap.full());
-  heap.clear();
-  EXPECT_EQ(heap.size(), 0u);
-  heap.push(7, 3.0f);
-  ASSERT_EQ(heap.sort_ascending(), 1u);
-  EXPECT_EQ(storage[0].index, 7u);
 }
 
 TEST(NeighborBufferTest, ResizeShapesAndZeroesCounts) {
@@ -287,16 +276,42 @@ TEST(OctreeTest, BatchKnnParallelMatchesSerial) {
   const auto pts = random_points(2000, rng);
   TwoLayerOctree octree(pts);
   ThreadPool pool(4);
-  const auto serial = octree.batch_knn(4, nullptr);
-  const auto parallel = octree.batch_knn(4, &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i].size(), parallel[i].size());
-    for (std::size_t j = 0; j < serial[i].size(); ++j) {
-      EXPECT_EQ(serial[i][j].index, parallel[i][j].index);
+  for (const bool exact : {true, false}) {
+    const auto serial = octree.batch_knn(4, nullptr, exact);
+    const auto parallel = octree.batch_knn(4, &pool, exact);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(serial.count(i), parallel.count(i)) << "query " << i;
+      ASSERT_EQ(serial.count(i), 4u) << "query " << i;
+      for (std::size_t j = 0; j < serial[i].size(); ++j) {
+        EXPECT_EQ(serial[i][j].index, parallel[i][j].index);
+        EXPECT_EQ(serial[i][j].dist2, parallel[i][j].dist2);
+      }
     }
   }
 }
+
+#if VOLUT_OBS_ENABLED
+TEST(OctreeTest, OwnCellBatchCountsOneQueryPerPoint) {
+  // Every cell of a uniform 5k cloud holds far more than k points, so the
+  // own-cell batch answers each point with exactly one self-query; the
+  // per-call counter flush must add up to the same total as per-query adds.
+  Rng rng(8);
+  const auto pts = random_points(5000, rng);
+  TwoLayerOctree octree(pts);
+  for (int c = 0; c < TwoLayerOctree::kNumCells; ++c) {
+    ASSERT_GT(octree.cell_size(c), 8u) << "cell " << c;
+  }
+  ThreadPool pool(4);
+  const MetricsRegistry& reg = MetricsRegistry::global();
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::uint64_t before = reg.counter_value("spatial/knn_queries");
+    NeighborBuffer out;
+    octree.batch_knn(8, out, p, /*exact=*/false);
+    EXPECT_EQ(reg.counter_value("spatial/knn_queries") - before, pts.size());
+  }
+}
+#endif
 
 TEST(OctreeTest, CellAssignmentCoversAllPoints) {
   Rng rng(7);
@@ -599,6 +614,131 @@ TEST(SimdKnnTest, AllLevelsBitIdenticalToScalarAcrossThreads) {
         expect_buffers_identical(kd, ref_kd, simd_level_name(level));
         const NeighborBuffer oct = octree.batch_knn(8, p);
         expect_buffers_identical(oct, ref_oct, simd_level_name(level));
+      }
+    }
+  }
+}
+
+/// The contract of batch_knn(k, out, pool, /*exact=*/false), by brute
+/// force: the k nearest (under Neighbor's order) among the other points of
+/// the query's own cell, or among all other points when that cell holds no
+/// more than k of them.
+NeighborBuffer own_cell_oracle(const TwoLayerOctree& octree,
+                               const std::vector<Vec3f>& pts, std::size_t k) {
+  const std::size_t kk = std::min(k, pts.size() - 1);
+  std::vector<std::vector<std::size_t>> members(TwoLayerOctree::kNumCells);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    members[static_cast<std::size_t>(octree.cell_of(pts[i]))].push_back(i);
+  }
+  NeighborBuffer out;
+  out.resize(pts.size(), kk);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const auto& cell =
+        members[static_cast<std::size_t>(octree.cell_of(pts[i]))];
+    std::vector<Neighbor> want;
+    if (cell.size() > kk) {
+      for (const std::size_t j : cell) {
+        if (j != i) want.push_back({j, distance2(pts[i], pts[j])});
+      }
+      std::sort(want.begin(), want.end());
+      want.resize(kk);
+    } else {
+      want = brute_knn(pts, pts[i], kk, /*exclude=*/i);
+    }
+    std::copy(want.begin(), want.end(), out.slot(i).begin());
+    out.set_count(i, want.size());
+  }
+  return out;
+}
+
+TEST(SimdKnnTest, OwnCellBatchMatchesOracleAtEveryLevelAndWorkerCount) {
+  SimdLevelGuard guard;
+  std::vector<std::vector<Vec3f>> clouds;
+  Rng rng(84);
+  clouds.push_back(random_points(4000, rng));
+  // A lattice: every distance ties, so only the index tie-break orders them.
+  clouds.emplace_back();
+  for (int x = 0; x < 12; ++x) {
+    for (int y = 0; y < 12; ++y) {
+      for (int z = 0; z < 12; ++z) {
+        clouds.back().push_back({float(x), float(y), float(z)});
+      }
+    }
+  }
+  // Every point twice, the copies far apart in index: zero-distance ties.
+  clouds.push_back(random_points(1500, rng));
+  const std::vector<Vec3f> copies = clouds.back();
+  clouds.back().insert(clouds.back().end(), copies.begin(), copies.end());
+  // Points crowded toward one corner plus two outliers: many cells hold no
+  // more than k points and take the exact spill search.
+  clouds.emplace_back();
+  for (int i = 0; i < 300; ++i) {
+    const Vec3f p = random_points(1, rng)[0];
+    clouds.back().push_back({p.x * p.x, p.y * p.y * p.y, p.z});
+  }
+  clouds.back().push_back({5.0f, 5.0f, 5.0f});
+  clouds.back().push_back({-3.0f, 2.0f, 1.0f});
+  for (std::size_t c = 0; c < clouds.size(); ++c) {
+    const auto& pts = clouds[c];
+    const TwoLayerOctree octree(pts);
+    if (c + 1 == clouds.size()) {
+      ASSERT_EQ(octree.cell_size(octree.cell_of(pts.back())), 1u);
+    }
+    for (const std::size_t k : {1u, 4u, 8u, 9u}) {
+      const NeighborBuffer want = own_cell_oracle(octree, pts, k);
+      for (const SimdLevel level : available_levels()) {
+        ASSERT_TRUE(simd_force_level(level));
+        for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+          ThreadPool pool(workers);
+          NeighborBuffer got;
+          octree.batch_knn(k, got, workers > 1 ? &pool : nullptr,
+                           /*exact=*/false);
+          const std::string label = "cloud " + std::to_string(c) + " k " +
+                                    std::to_string(k) + " " +
+                                    simd_level_name(level) + " x" +
+                                    std::to_string(workers);
+          expect_buffers_identical(got, want, label.c_str());
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKnnTest, SelfKnnMatchesPerQuerySearchAtEveryLevel) {
+  // KdTree::self_knn_into on its own (no report-index remap), for strides
+  // the top-8 kernel takes (<= 8) and one it leaves to the heap (12). The
+  // 10^3 lattice spans dozens of leaves with points on every split plane,
+  // so neighbors tie with the box bounds the walk prunes on; its points
+  // are stored in a scrambled order so the index tie-break can favour a
+  // neighbor in any direction, including one across a pruned plane.
+  SimdLevelGuard guard;
+  Rng rng(85);
+  std::vector<std::vector<Vec3f>> clouds{random_points(2000, rng),
+                                         std::vector<Vec3f>(1000)};
+  for (int i = 0; i < 1000; ++i) {
+    clouds.back()[std::size_t(i * 7919 % 1000)] = {
+        float(i / 100), float(i / 10 % 10), float(i % 10)};
+  }
+  for (const auto& pts : clouds) {
+    const KdTree tree(pts);
+    // Sorted brute-force lists: each smaller k takes a prefix.
+    std::vector<std::vector<Neighbor>> brute(pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      brute[i] = brute_knn(pts, pts[i], 12, /*exclude=*/i);
+    }
+    for (const std::size_t k : {1u, 3u, 8u, 12u}) {
+      NeighborBuffer want;
+      want.resize(pts.size(), k);
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        std::copy_n(brute[i].begin(), k, want.slot(i).begin());
+        want.set_count(i, k);
+      }
+      for (const SimdLevel level : available_levels()) {
+        ASSERT_TRUE(simd_force_level(level));
+        NeighborBuffer got;
+        got.resize(pts.size(), k);
+        tree.self_knn_into(got);
+        expect_buffers_identical(got, want, simd_level_name(level));
       }
     }
   }

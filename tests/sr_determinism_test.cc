@@ -147,6 +147,49 @@ TEST(SimdDeterminismTest, InterpolateBitIdenticalAcrossSimdLevelsAndWorkers) {
   }
 }
 
+/// A cloud drawn from CounterRng only: unlike Rng's std:: distributions, its
+/// draws are the same on every standard library, so fingerprints of results
+/// built from it can be pinned as constants.
+PointCloud counter_rng_cloud(std::size_t n, std::uint64_t seed) {
+  CounterRng rng(seed);
+  PointCloud pc;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec3f p{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    pc.push_back(p, Color{std::uint8_t(rng.next(256)),
+                          std::uint8_t(rng.next(256)),
+                          std::uint8_t(rng.next(256))});
+  }
+  return pc;
+}
+
+TEST(SrGoldenTest, OctreeReuseFingerprintsArePinned) {
+  // The production SR configuration (own-cell octree kNN + neighbor reuse,
+  // k = 4, d = 2 — an 8-wide dilated neighborhood) at ratios 2 and 4. The
+  // constants were captured before the own-cell kNN moved to the leaf-order
+  // self-query with its top-8 kernel, so they pin SR output to the earlier
+  // per-query search byte for byte, not merely to itself.
+  const PointCloud pc = counter_rng_cloud(4000, 2024);
+  InterpolationConfig cfg;
+  cfg.k = 4;
+  cfg.dilation = 2;
+  cfg.use_octree = true;
+  cfg.reuse_neighbors = true;
+  struct Golden {
+    double ratio;
+    std::uint64_t fingerprint;
+  };
+  for (const Golden& g : {Golden{2.0, 0xc74d4ba5ed213081ull},
+                        Golden{4.0, 0x72a4dc500e4ab292ull}}) {
+    const InterpolationResult r = interpolate(pc, g.ratio, cfg);
+    EXPECT_EQ(fingerprint(r), g.fingerprint)
+        << "ratio " << g.ratio << ": got 0x" << std::hex << fingerprint(r);
+    ThreadPool pool(4);
+    EXPECT_EQ(fingerprint(interpolate(pc, g.ratio, cfg, &pool)),
+              g.fingerprint)
+        << "ratio " << g.ratio << " on 4 workers";
+  }
+}
+
 TEST(InterpolateScratchTest, ReusedScratchMatchesFreshScratch) {
   const PointCloud pc = test_cloud(2000, 22);
   InterpolationConfig cfg;
