@@ -147,14 +147,8 @@ std::vector<Neighbor> KdTree::knn(const Vec3f& query, std::size_t k) const {
   return out;
 }
 
-void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
-                      std::uint32_t index_offset,
-                      std::uint32_t exclude) const {
-  if (empty()) return;
-  const LeafScanFn scan = active_leaf_scan();
-  KnnTally tally;
-  tally.queries = 1;
-  const std::uint64_t pushes_before = heap.pushes();
+template <typename ScanLeaf>
+void KdTree::walk(const Vec3f& query, ScanLeaf&& scan_leaf) const {
   // Explicit-stack traversal (the hot path has no recursion): descend
   // toward the query, deferring each far subtree with the squared distance
   // to its splitting plane; after every leaf scan, resume the nearest
@@ -174,24 +168,36 @@ void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
       node_id = left_near ? node->left : node->right;
       node = &nodes_[node_id];
     }
-    scan(soa_x_.data() + node->soa_begin, soa_y_.data() + node->soa_begin,
-         soa_z_.data() + node->soa_begin, soa_idx_.data() + node->soa_begin,
-         node->end - node->begin, query, index_offset, exclude, heap);
-    ++tally.leaf_scans;
-    tally.points_scanned += node->end - node->begin;
+    const float worst = scan_leaf(*node);
     // Prune with > (not >=): a subtree whose plane distance exactly equals
     // the current worst may still hold an equidistant neighbor that wins
     // the (distance, index) tie-break.
     do {
-      if (sp == 0) {
-        tally.heap_pushes = heap.pushes() - pushes_before;
-        tally.flush();
-        return;
-      }
+      if (sp == 0) return;
       --sp;
-    } while (dist_stack[sp] > heap.worst_dist2());
+    } while (dist_stack[sp] > worst);
     node_id = node_stack[sp];
   }
+}
+
+void KdTree::knn_into(const Vec3f& query, NeighborHeap& heap,
+                      std::uint32_t index_offset,
+                      std::uint32_t exclude) const {
+  if (empty()) return;
+  const LeafScanFn scan = active_leaf_scan();
+  KnnTally tally;
+  tally.queries = 1;
+  const std::uint64_t pushes_before = heap.pushes();
+  walk(query, [&](const Node& node) {
+    ++tally.leaf_scans;
+    tally.points_scanned += node.end - node.begin;
+    scan(soa_x_.data() + node.soa_begin, soa_y_.data() + node.soa_begin,
+         soa_z_.data() + node.soa_begin, soa_idx_.data() + node.soa_begin,
+         node.end - node.begin, query, index_offset, exclude, heap);
+    return heap.worst_dist2();
+  });
+  tally.heap_pushes = heap.pushes() - pushes_before;
+  tally.flush();
 }
 
 void KdTree::self_knn_into(NeighborBuffer& out) const {
@@ -201,23 +207,11 @@ void KdTree::self_knn_into(NeighborBuffer& out) const {
   const LeafScanFn scan = active_leaf_scan();
   KnnTally tally;
   Top8 best;
-  // Each deferred subtree carries the per-axis offsets from the query to
-  // its box and their sum (ox*ox + oy*oy) + oz*oz — the association of
-  // distance2, so in float it never exceeds the distance of any point in
-  // the box (subtraction, squaring and addition are all monotone).
-  struct Deferred {
-    std::uint32_t node;
-    float bound;
-    float off[3];
-  };
-  Deferred stack[kMaxDepth];
-  for (std::uint32_t own = 0; own < nodes_.size(); ++own) {
-    const Node& own_leaf = nodes_[own];
-    if (own_leaf.axis >= 0) continue;
-    tally.queries += own_leaf.end - own_leaf.begin;
-    const std::uint32_t soa_end =
-        own_leaf.soa_begin + (own_leaf.end - own_leaf.begin);
-    for (std::uint32_t s = own_leaf.soa_begin; s < soa_end; ++s) {
+  for (const Node& leaf : nodes_) {
+    if (leaf.axis >= 0) continue;
+    tally.queries += leaf.end - leaf.begin;
+    const std::uint32_t soa_end = leaf.soa_begin + (leaf.end - leaf.begin);
+    for (std::uint32_t s = leaf.soa_begin; s < soa_end; ++s) {
       const Vec3f query{soa_x_[s], soa_y_[s], soa_z_[s]};
       const std::uint32_t self = soa_idx_[s];
       const std::span<Neighbor> slot = out.slot(self);
@@ -231,7 +225,7 @@ void KdTree::self_knn_into(NeighborBuffer& out) const {
       NeighborHeap heap(slot);
       // Scans one leaf into the active collector and returns the pruning
       // bound: the k-th best distance so far (+inf until k are held).
-      auto scan_leaf = [&](const Node& node, std::uint32_t exclude) {
+      walk(query, [&](const Node& node) {
         ++tally.leaf_scans;
         tally.points_scanned += node.end - node.begin;
         const float* x = soa_x_.data() + node.soa_begin;
@@ -240,47 +234,13 @@ void KdTree::self_knn_into(NeighborBuffer& out) const {
         const std::uint32_t* idx = soa_idx_.data() + node.soa_begin;
         if (top8 != nullptr) {
           tally.heap_pushes += top8(x, y, z, idx, node.end - node.begin,
-                                    query, exclude, k, best);
+                                    query, self, k, best);
           return best.dist2[k - 1];
         }
         scan(x, y, z, idx, node.end - node.begin, query, /*index_offset=*/0,
-             exclude, heap);
+             self, heap);
         return heap.worst_dist2();
-      };
-      float worst = scan_leaf(own_leaf, self);
-      int sp = 0;
-      std::uint32_t node_id = root_;
-      float off[3] = {0.0f, 0.0f, 0.0f};
-      for (;;) {
-        const Node* node = &nodes_[node_id];
-        while (node->axis >= 0) {
-          const float delta = query[node->axis] - node->split;
-          const bool left_near = delta < 0.0f;
-          // The near child keeps the parent's offsets; the far child's box
-          // lies across the split plane, |delta| away on this axis.
-          Deferred& far = stack[sp];
-          far.node = left_near ? node->right : node->left;
-          far.off[0] = off[0];
-          far.off[1] = off[1];
-          far.off[2] = off[2];
-          far.off[node->axis] = delta;
-          far.bound = (far.off[0] * far.off[0] + far.off[1] * far.off[1]) +
-                      far.off[2] * far.off[2];
-          // Prune with > (not >=), as knn_into does: a box at exactly the
-          // bound may hold an equidistant neighbor that wins on index.
-          sp += far.bound > worst ? 0 : 1;
-          node_id = left_near ? node->left : node->right;
-          node = &nodes_[node_id];
-        }
-        if (node_id != own) worst = scan_leaf(*node, kNoExclude);
-        while (sp > 0 && stack[sp - 1].bound > worst) --sp;
-        if (sp == 0) break;
-        --sp;
-        node_id = stack[sp].node;
-        off[0] = stack[sp].off[0];
-        off[1] = stack[sp].off[1];
-        off[2] = stack[sp].off[2];
-      }
+      });
       if (top8 != nullptr) {
         // Sentinel slots (fewer than k other points) are not reported.
         std::size_t n = 0;

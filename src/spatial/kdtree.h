@@ -61,11 +61,10 @@ class KdTree {
   /// k = out.stride(): the neighbors of the point reported as r land in
   /// out.slot(r), with out.count(r) set — the list knn_into with
   /// `exclude = r` gives. `out` must already be shaped to cover every
-  /// reported index. Queries run in leaf (SoA) order: each scans its own
-  /// leaf first for a tight bound, then walks the rest of the tree once,
-  /// pruning on the accumulated box distance. At the AVX2 level with
-  /// k <= 8 the best k stay in registers (Top8); other levels and wider k
-  /// collect into a NeighborHeap. Counters are flushed once per call.
+  /// reported index. Queries run in leaf (SoA) order through the same
+  /// traversal as knn_into. At the AVX2 level with k <= 8 the best k stay
+  /// in registers (Top8); other levels and wider k collect into a
+  /// NeighborHeap. Counters are flushed once per call.
   void self_knn_into(NeighborBuffer& out) const;
 
   /// Index + squared distance of the single nearest neighbor, or
@@ -87,6 +86,13 @@ class KdTree {
   };
 
   std::uint32_t build_node(std::uint32_t begin, std::uint32_t end, int depth);
+  /// The one kNN traversal, shared by knn_into and self_knn_into and
+  /// generic over their candidate collectors: calls `scan_leaf(node)` on
+  /// each leaf that can still contribute, nearest first, and prunes on the
+  /// float it returns (the collector's k-th best distance, +inf until k
+  /// are held). Defined in kdtree.cc, its only user.
+  template <typename ScanLeaf>
+  void walk(const Vec3f& query, ScanLeaf&& scan_leaf) const;
   void search_radius(std::uint32_t node_id, const Vec3f& query, float r2,
                      std::vector<Neighbor>& out) const;
 

@@ -121,6 +121,9 @@ class NeighborHeap {
   std::size_t size() const { return size_; }
   bool full() const { return size_ == storage_.size(); }
 
+  /// Discards collected neighbors so the same storage can back a new search.
+  void clear() { size_ = 0; }
+
   /// Largest accepted distance so far; +inf until the heap is full.
   float worst_dist2() const {
     return size_ > 0 && full() ? storage_[size_ - 1].dist2

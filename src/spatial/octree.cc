@@ -213,14 +213,23 @@ void TwoLayerOctree::batch_knn(std::size_t k, NeighborBuffer& out,
         cell.tree.self_knn_into(out);
         continue;
       }
-      // Exact search, and the spill for the rare under-populated cells,
-      // whose own-cell search could never fill k slots.
       for (std::uint32_t fi = cell.begin; fi < cell.end; ++fi) {
-        // The query's arena slot backs the heap, so the sorted slot is the
-        // final answer.
+        // The query's arena slot backs the heap; cell trees report global
+        // indices directly, so the sorted slot is the final answer.
         const std::uint32_t g = flat_to_global_[fi];
-        NeighborHeap heap(out.slot(g));
-        knn_into(flat_points_[fi], heap, g);
+        const std::span<Neighbor> storage = out.slot(g);
+        NeighborHeap heap(storage);
+        if (exact) {
+          knn_into(flat_points_[fi], heap, g);
+        } else {
+          // Under-populated cell: own-cell search first, spilling to the
+          // full search when the cell cannot fill k slots.
+          cell.tree.knn_into(flat_points_[fi], heap, /*index_offset=*/0, g);
+          if (!heap.full()) {
+            heap.clear();
+            knn_into(flat_points_[fi], heap, g);
+          }
+        }
         out.set_count(g, heap.sort_ascending());
       }
     }

@@ -66,12 +66,12 @@ class TwoLayerOctree {
   /// With `exact` false the search stays within each point's own cell (the
   /// paper's "neighbour points are highly likely self-contained" leaf
   /// property): each cell answers all its points with one
-  /// KdTree::self_knn_into pass, and only a cell holding no more than k
-  /// points falls back to the exact search. Near cell walls a reported
-  /// neighbor may be slightly farther than the true k-th neighbor; the
-  /// dilated-interpolation stage tolerates this by construction (partners
-  /// are randomly drawn from the dilated neighborhood anyway), and it
-  /// removes all spill searches from the hot path.
+  /// KdTree::self_knn_into pass, and a cell holding no more than k points
+  /// spills each of its queries to the exact search. Near cell walls a
+  /// reported neighbor may be slightly farther than the true k-th neighbor;
+  /// the dilated-interpolation stage tolerates this by construction
+  /// (partners are randomly drawn from the dilated neighborhood anyway),
+  /// and it removes all spill searches from the hot path.
   void batch_knn(std::size_t k, NeighborBuffer& out, ThreadPool* pool,
                  bool exact = true) const;
 

@@ -64,6 +64,19 @@ TEST(NeighborHeapTest, WorstDistInfiniteUntilFull) {
   EXPECT_FLOAT_EQ(heap.worst_dist2(), 2.0f);
 }
 
+TEST(NeighborHeapTest, ClearReusesStorage) {
+  std::array<Neighbor, 2> storage;
+  NeighborHeap heap(storage);
+  heap.push(0, 5.0f);
+  heap.push(1, 1.0f);
+  EXPECT_TRUE(heap.full());
+  heap.clear();
+  EXPECT_EQ(heap.size(), 0u);
+  heap.push(7, 3.0f);
+  ASSERT_EQ(heap.sort_ascending(), 1u);
+  EXPECT_EQ(storage[0].index, 7u);
+}
+
 TEST(NeighborBufferTest, ResizeShapesAndZeroesCounts) {
   NeighborBuffer buf;
   EXPECT_TRUE(buf.empty());
@@ -708,7 +721,7 @@ TEST(SimdKnnTest, SelfKnnMatchesPerQuerySearchAtEveryLevel) {
   // KdTree::self_knn_into on its own (no report-index remap), for strides
   // the top-8 kernel takes (<= 8) and one it leaves to the heap (12). The
   // 10^3 lattice spans dozens of leaves with points on every split plane,
-  // so neighbors tie with the box bounds the walk prunes on; its points
+  // so neighbors tie with the plane bounds the walk prunes on; its points
   // are stored in a scrambled order so the index tie-break can favour a
   // neighbor in any direction, including one across a pruned plane.
   SimdLevelGuard guard;
