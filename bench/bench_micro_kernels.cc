@@ -27,6 +27,8 @@
 #include "src/sr/pipeline.h"
 #include "src/sr/position_encoding.h"
 #include "src/sr/refine_net.h"
+#include "src/stream/endpoint.h"
+#include "src/stream/protocol.h"
 
 // ---------------------------------------------------------------------------
 // Process-wide allocation counter. Replacing the global operators lets the
@@ -453,6 +455,72 @@ void BM_InterpolateSteadyStateAllocs(benchmark::State& state) {
       static_cast<double>(scratch.dilated.arena_capacity_bytes());
 }
 BENCHMARK(BM_InterpolateSteadyStateAllocs)->Unit(benchmark::kMillisecond);
+
+/// Answers every request with one pre-framed chunk response, without
+/// parsing the request, so the transport adds no allocation of its own.
+class ReplayTransport : public Transport {
+ public:
+  explicit ReplayTransport(std::vector<std::uint8_t> response)
+      : response_(std::move(response)) {}
+  void send(const std::vector<std::uint8_t>& /*request*/) override {
+    if (sink_) sink_(response_);
+  }
+  void set_receive_sink(Sink sink) override { sink_ = std::move(sink); }
+
+ private:
+  std::vector<std::uint8_t> response_;
+  Sink sink_;
+};
+
+// Steady-state allocation count of the client wire path: fetch_chunk_into
+// on a reused ClientChunk, serial pipeline, one two-frame Dress response at
+// density range(0) / 100. After the warm-up request sizes the parser
+// buffer, the message body, the frame views and every cloud, a request must
+// not touch the heap: the bytes are copied once into the parser, frames
+// decode from the body in place and SR runs in the chunk's own clouds.
+void BM_FetchChunkSteadyStateAllocs(benchmark::State& state) {
+  const float density = float(state.range(0)) / 100.0f;
+  const SyntheticVideo video(
+      VideoSpec::dress(bench::bench_scale(/*fallback=*/0.2)));
+  Rng rng(17);
+  EncodedChunk chunk;
+  chunk.header.frame_count = 2;
+  chunk.header.density_ratio = density;
+  chunk.header.sr_ratio = 1.0f / density;
+  for (std::size_t f = 0; f < chunk.header.frame_count; ++f) {
+    const PointCloud full = video.frame(f);
+    chunk.frames.push_back(encode_frame(
+        density < 1.0f ? full.random_downsample(density, rng) : full));
+  }
+  ReplayTransport transport(frame_message(encode_chunk_response(chunk)));
+  InterpolationConfig interp;
+  interp.dilation = 2;
+  VolutClient client(&transport,
+                     std::make_shared<const RefinementLut>(LutSpec{4, 32}),
+                     interp);
+  ClientChunk out;
+  client.fetch_chunk_into(0, 0, density, out);  // warm-up request
+  std::uint64_t allocs = 0;
+  std::uint64_t requests = 0;
+  for (auto _ : state) {
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    client.fetch_chunk_into(0, 0, density, out);
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+    ++requests;
+  }
+  if (allocs != 0) {
+    fail_benchmark(state,
+                   "steady-state fetch_chunk_into allocated on the heap");
+  }
+  state.counters["allocs_per_request"] =
+      requests > 0 ? double(allocs) / double(requests) : 0.0;
+  state.counters["wire_bytes"] = static_cast<double>(out.wire_bytes);
+}
+BENCHMARK(BM_FetchChunkSteadyStateAllocs)
+    ->Arg(50)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace volut

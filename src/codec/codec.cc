@@ -26,7 +26,7 @@ void append_raw(std::vector<std::uint8_t>& out, const void* p,
 }  // namespace
 
 std::size_t EncodedChunk::byte_size() const {
-  std::size_t total = sizeof(ChunkHeader);
+  std::size_t total = sizeof(ChunkHeader) + sizeof(std::uint32_t);
   for (const EncodedFrame& f : frames) total += f.byte_size();
   return total;
 }
@@ -59,11 +59,13 @@ EncodedFrame encode_frame(const PointCloud& cloud) {
   return frame;
 }
 
-PointCloud decode_frame(const EncodedFrame& frame) {
-  PointCloud cloud;
-  cloud.reserve(frame.point_count);
-  if (frame.point_count == 0) return cloud;
-  if (frame.payload.size() < frame.point_count * kBytesPerPoint) {
+void decode_frame_into(const FrameView& frame, PointCloud& out) {
+  const std::size_t n = frame.point_count;
+  if (n == 0) {
+    out.clear();
+    return;
+  }
+  if (frame.payload.size() < n * kBytesPerPoint) {
     throw std::runtime_error("decode_frame: truncated payload");
   }
   // Bounds come off the wire: NaN, infinite or inverted ones would decode
@@ -79,23 +81,30 @@ PointCloud decode_frame(const EncodedFrame& frame) {
   Vec3f ext = frame.bounds.extent();
   for (int a = 0; a < 3; ++a) ext[a] = std::max(ext[a], 1e-12f);
 
+  out.resize(n);
+  const std::span<Vec3f> positions = out.positions();
+  const std::span<Color> colors = out.colors();
   const std::uint8_t* p = frame.payload.data();
-  for (std::uint32_t i = 0; i < frame.point_count; ++i) {
-    Vec3f pos;
+  for (std::size_t i = 0; i < n; ++i) {
+    Vec3f& pos = positions[i];
     for (int a = 0; a < 3; ++a) {
       pos[a] = lo[a] + (float(get_u16(p)) / 65535.0f) * ext[a];
       p += 2;
     }
-    const Color c{p[0], p[1], p[2]};
+    colors[i] = Color{p[0], p[1], p[2]};
     p += 3;
-    cloud.push_back(pos, c);
   }
+}
+
+PointCloud decode_frame(const EncodedFrame& frame) {
+  PointCloud cloud;
+  decode_frame_into({frame.bounds, frame.point_count, frame.payload}, cloud);
   return cloud;
 }
 
 std::vector<std::uint8_t> serialize_chunk(const EncodedChunk& chunk) {
   std::vector<std::uint8_t> out;
-  out.reserve(chunk.byte_size() + 64);
+  out.reserve(chunk.byte_size());
   append_raw(out, &chunk.header, sizeof(ChunkHeader));
   const auto frame_count = static_cast<std::uint32_t>(chunk.frames.size());
   append_raw(out, &frame_count, sizeof(frame_count));
@@ -110,8 +119,8 @@ std::vector<std::uint8_t> serialize_chunk(const EncodedChunk& chunk) {
   return out;
 }
 
-EncodedChunk parse_chunk(const std::vector<std::uint8_t>& bytes) {
-  EncodedChunk chunk;
+ChunkHeader parse_chunk_views(std::span<const std::uint8_t> bytes,
+                              std::vector<FrameView>& frames) {
   std::size_t off = 0;
   // off <= bytes.size() always holds, so this side of the comparison
   // cannot wrap, whatever n the stream claims.
@@ -120,34 +129,44 @@ EncodedChunk parse_chunk(const std::vector<std::uint8_t>& bytes) {
       throw std::runtime_error("parse_chunk: truncated stream");
     }
   };
+  auto read = [&](void* dst, std::size_t n) {
+    std::memcpy(dst, bytes.data() + off, n);
+    off += n;
+  };
+  ChunkHeader header;
   need(sizeof(ChunkHeader));
-  std::memcpy(&chunk.header, bytes.data() + off, sizeof(ChunkHeader));
-  off += sizeof(ChunkHeader);
+  read(&header, sizeof(ChunkHeader));
   std::uint32_t frame_count = 0;
   need(sizeof(frame_count));
-  std::memcpy(&frame_count, bytes.data() + off, sizeof(frame_count));
-  off += sizeof(frame_count);
+  read(&frame_count, sizeof(frame_count));
   // Every frame carries at least its header, so the remaining bytes bound
   // the count; check before the count sizes any allocation.
-  constexpr std::size_t kFrameHeaderBytes =
-      2 * sizeof(Vec3f) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
   need(std::size_t(frame_count) * kFrameHeaderBytes);
-  chunk.frames.resize(frame_count);
-  for (EncodedFrame& f : chunk.frames) {
+  frames.resize(frame_count);
+  for (FrameView& f : frames) {
     need(kFrameHeaderBytes);
-    std::memcpy(&f.bounds.lo, bytes.data() + off, sizeof(Vec3f));
-    off += sizeof(Vec3f);
-    std::memcpy(&f.bounds.hi, bytes.data() + off, sizeof(Vec3f));
-    off += sizeof(Vec3f);
-    std::memcpy(&f.point_count, bytes.data() + off, sizeof(f.point_count));
-    off += sizeof(f.point_count);
+    read(&f.bounds.lo, sizeof(Vec3f));
+    read(&f.bounds.hi, sizeof(Vec3f));
+    read(&f.point_count, sizeof(f.point_count));
     std::uint64_t payload_size = 0;
-    std::memcpy(&payload_size, bytes.data() + off, sizeof(payload_size));
-    off += sizeof(payload_size);
+    read(&payload_size, sizeof(payload_size));
     need(payload_size);
-    f.payload.assign(bytes.begin() + std::int64_t(off),
-                     bytes.begin() + std::int64_t(off + payload_size));
+    f.payload = bytes.subspan(off, payload_size);
     off += payload_size;
+  }
+  return header;
+}
+
+EncodedChunk parse_chunk(const std::vector<std::uint8_t>& bytes) {
+  std::vector<FrameView> views;
+  EncodedChunk chunk;
+  chunk.header = parse_chunk_views(bytes, views);
+  chunk.frames.resize(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    EncodedFrame& f = chunk.frames[i];
+    f.bounds = views[i].bounds;
+    f.point_count = views[i].point_count;
+    f.payload.assign(views[i].payload.begin(), views[i].payload.end());
   }
   return chunk;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/point_cloud.h"
@@ -25,19 +26,34 @@ struct ChunkHeader {
   float sr_ratio = 1.0f;
 };
 
+/// Wire bytes ahead of each frame's payload: bounds lo/hi, point count and
+/// payload size.
+inline constexpr std::size_t kFrameHeaderBytes =
+    2 * sizeof(Vec3f) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
 struct EncodedFrame {
   AABB bounds;
   std::uint32_t point_count = 0;
   std::vector<std::uint8_t> payload;  // 9 bytes per point
 
-  std::size_t byte_size() const { return payload.size() + 32; }
+  /// Exact serialized size of this frame.
+  std::size_t byte_size() const { return kFrameHeaderBytes + payload.size(); }
 };
 
 struct EncodedChunk {
   ChunkHeader header;
   std::vector<EncodedFrame> frames;
 
+  /// Exact size of serialize_chunk(*this).
   std::size_t byte_size() const;
+};
+
+/// A frame as it sits in a serialized chunk: the payload is a view into the
+/// chunk's bytes, valid as long as they are.
+struct FrameView {
+  AABB bounds;
+  std::uint32_t point_count = 0;
+  std::span<const std::uint8_t> payload;
 };
 
 /// Bytes per encoded point (position 3x16-bit + color 3x8-bit).
@@ -47,13 +63,21 @@ inline constexpr std::size_t kBytesPerPoint = 9;
 /// payload.
 EncodedFrame encode_frame(const PointCloud& cloud);
 
-/// Decodes a frame back to a point cloud (positions dequantized to bin
-/// centers).
+/// Decodes a frame into `out` (positions dequantized to bin centers),
+/// reusing its capacity. Throws std::runtime_error on a payload shorter than
+/// the point count or on non-finite / inverted bounds.
+void decode_frame_into(const FrameView& frame, PointCloud& out);
 PointCloud decode_frame(const EncodedFrame& frame);
 
 /// Serializes / parses a chunk to a flat byte stream (the DASH-like wire
 /// format, §6).
 std::vector<std::uint8_t> serialize_chunk(const EncodedChunk& chunk);
+/// Parses the chunk header and one view per frame into `frames` (resized,
+/// capacity reused) without copying any payload. Throws std::runtime_error
+/// on a truncated stream, before any allocation a hostile count could size.
+ChunkHeader parse_chunk_views(std::span<const std::uint8_t> bytes,
+                              std::vector<FrameView>& frames);
+/// parse_chunk_views with every payload copied out.
 EncodedChunk parse_chunk(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace volut

@@ -40,14 +40,27 @@ SrResult SrPipeline::upsample(const PointCloud& input, double ratio,
                               bool refine) const {
   SrResult result;
   result.input_points = input.size();
+  result.timing = upsample_into(input, ratio, result.cloud, refine);
+  result.output_points = result.cloud.size();
+  return result;
+}
 
+SrTiming SrPipeline::upsample_into(const PointCloud& input, double ratio,
+                                   PointCloud& out, bool refine) const {
+  if (&input == &out) {
+    throw std::invalid_argument("SrPipeline: output aliases the input");
+  }
+  SrTiming timing;
   TraceSpan upsample_span("sr/upsample");
   std::unique_ptr<ScratchSlot> slot = acquire_slot();
   InterpolationResult& ir = slot->ir;
+  // Lend the caller's cloud to the stages and hand it back holding the
+  // result: its capacity is reused and nothing is copied out.
+  std::swap(ir.cloud, out);
   interpolate_into(input, ratio, interp_, ir, pool_, &slot->scratch);
-  result.timing.knn_ms = ir.timing.knn_ms;
-  result.timing.interpolate_ms = ir.timing.interpolate_ms;
-  result.timing.colorize_ms = ir.timing.colorize_ms;
+  timing.knn_ms = ir.timing.knn_ms;
+  timing.interpolate_ms = ir.timing.interpolate_ms;
+  timing.colorize_ms = ir.timing.colorize_ms;
 
   if (refine && !lut_->empty()) {
     TraceSpan refine_span("sr/refine");
@@ -63,13 +76,12 @@ SrResult SrPipeline::upsample(const PointCloud& input, double ratio,
       }
     };
     run_parallel(pool_, ir.new_count(), refine_range, /*min_grain=*/1024);
-    result.timing.refine_ms = refine_span.stop_ms();
+    timing.refine_ms = refine_span.stop_ms();
   }
 
-  result.output_points = ir.cloud.size();
-  result.cloud = std::move(ir.cloud);
+  std::swap(ir.cloud, out);
   release_slot(std::move(slot));
-  return result;
+  return timing;
 }
 
 }  // namespace volut

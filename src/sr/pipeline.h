@@ -9,6 +9,8 @@
 // + interpolation result), one per concurrent upsample() caller: frame N+1
 // reuses the buffers frame N grew, so the steady-state neighbor path
 // performs no heap allocation (see bench_micro_kernels' allocation counter).
+// upsample_into() writes the output into a caller-held cloud, so a caller
+// that keeps its clouds across frames allocates nothing at all.
 #pragma once
 
 #include <memory>
@@ -56,15 +58,20 @@ class SrPipeline {
   SrResult upsample(const PointCloud& input, double ratio,
                     bool refine = true) const;
 
+  /// upsample() into `out` (which must not be `input`), reusing its
+  /// capacity: the stages run in `out`'s own buffers, so no point is copied
+  /// out and a warm `out` allocates nothing. Returns the stage timings.
+  SrTiming upsample_into(const PointCloud& input, double ratio,
+                         PointCloud& out, bool refine = true) const;
+
   const RefinementLut& lut() const { return *lut_; }
   const InterpolationConfig& interpolation_config() const { return interp_; }
 
  private:
   /// One concurrent caller's working set: interpolation scratch plus the
   /// result whose buffers (parents, neighbor arena) persist across frames.
-  /// The upsampled cloud itself is moved out to the caller, so only the
-  /// neighbor path is allocation-free — which is the path that scales with
-  /// sessions x frames.
+  /// Its cloud is the caller's output, swapped in for the call and back
+  /// out at the end.
   struct ScratchSlot {
     InterpolationScratch scratch;
     InterpolationResult ir;

@@ -94,54 +94,57 @@ VolutClient::VolutClient(Transport* transport,
 void VolutClient::on_bytes(const std::vector<std::uint8_t>& bytes) {
   bytes_received_ += bytes.size();
   parser_.feed(bytes);
-  while (auto message = parser_.next()) inbox_.push_back(std::move(*message));
 }
 
-Message VolutClient::await_message() {
-  if (inbox_.empty()) {
+void VolutClient::await_message() {
+  if (!parser_.next(message_)) {
     throw std::runtime_error(
         "VolutClient: no response (asynchronous transport without pump?)");
   }
-  Message message = std::move(inbox_.front());
-  inbox_.erase(inbox_.begin());
-  return message;
 }
 
 Manifest VolutClient::fetch_manifest(std::uint32_t video_id) {
   transport_->send(frame_message(encode_manifest_request({video_id})));
-  return decode_manifest(await_message());
+  await_message();
+  return decode_manifest(message_);
 }
 
 ClientChunk VolutClient::fetch_chunk(std::uint32_t video_id,
                                      std::uint32_t index,
                                      float density_ratio) {
-  ChunkRequest req;
-  req.video_id = video_id;
-  req.chunk_index = index;
-  req.density_ratio = density_ratio;
-  transport_->send(frame_message(encode_chunk_request(req)));
-  const Message response = await_message();
-  if (response.type == MessageType::kError) {
+  ClientChunk chunk;
+  fetch_chunk_into(video_id, index, density_ratio, chunk);
+  return chunk;
+}
+
+void VolutClient::fetch_chunk_into(std::uint32_t video_id,
+                                   std::uint32_t index, float density_ratio,
+                                   ClientChunk& chunk) {
+  frame_chunk_request({video_id, index, density_ratio}, request_bytes_);
+  transport_->send(request_bytes_);
+  await_message();
+  if (message_.type == MessageType::kError) {
     throw std::runtime_error("VolutClient: server rejected chunk request");
   }
-  const EncodedChunk chunk = decode_chunk_response(response);
+  const ChunkHeader header =
+      decode_chunk_response_views(message_, frame_views_);
 
-  ClientChunk result;
-  result.index = chunk.header.chunk_index;
-  result.density_ratio = chunk.header.density_ratio;
-  result.wire_bytes = frame_message(response).size();
-  const double sr_ratio = chunk.header.sr_ratio;
-  for (const EncodedFrame& frame : chunk.frames) {
-    PointCloud low = decode_frame(frame);
-    const SrResult sr = pipeline_.upsample(low, sr_ratio);
-    result.sr_timing.knn_ms += sr.timing.knn_ms;
-    result.sr_timing.interpolate_ms += sr.timing.interpolate_ms;
-    result.sr_timing.colorize_ms += sr.timing.colorize_ms;
-    result.sr_timing.refine_ms += sr.timing.refine_ms;
-    result.frames.push_back(std::move(low));
-    result.sr_frames.push_back(std::move(sr.cloud));
+  chunk.index = header.chunk_index;
+  chunk.density_ratio = header.density_ratio;
+  chunk.wire_bytes = framed_size(message_);
+  chunk.sr_timing = SrTiming{};
+  chunk.frames.resize(frame_views_.size());
+  chunk.sr_frames.resize(frame_views_.size());
+  const double sr_ratio = header.sr_ratio;
+  for (std::size_t f = 0; f < frame_views_.size(); ++f) {
+    decode_frame_into(frame_views_[f], chunk.frames[f]);
+    const SrTiming t =
+        pipeline_.upsample_into(chunk.frames[f], sr_ratio, chunk.sr_frames[f]);
+    chunk.sr_timing.knn_ms += t.knn_ms;
+    chunk.sr_timing.interpolate_ms += t.interpolate_ms;
+    chunk.sr_timing.colorize_ms += t.colorize_ms;
+    chunk.sr_timing.refine_ms += t.refine_ms;
   }
-  return result;
 }
 
 }  // namespace volut

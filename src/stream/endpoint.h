@@ -103,16 +103,27 @@ class VolutClient {
   ClientChunk fetch_chunk(std::uint32_t video_id, std::uint32_t index,
                           float density_ratio);
 
+  /// fetch_chunk into `chunk`, reusing its frame vectors and clouds: frames
+  /// decode straight from the received bytes and SR writes into
+  /// `chunk.sr_frames`, so a steady-state call allocates nothing. On a throw
+  /// `chunk` holds unspecified (valid) contents.
+  void fetch_chunk_into(std::uint32_t video_id, std::uint32_t index,
+                        float density_ratio, ClientChunk& chunk);
+
   std::size_t total_bytes_received() const { return bytes_received_; }
 
  private:
   void on_bytes(const std::vector<std::uint8_t>& bytes);
-  Message await_message();
+  /// Pops the next received message into `message_`.
+  void await_message();
 
   Transport* transport_;
   SrPipeline pipeline_;
   FrameParser parser_;
-  std::vector<Message> inbox_;
+  /// Per-request buffers, reused across requests.
+  Message message_;
+  std::vector<std::uint8_t> request_bytes_;
+  std::vector<FrameView> frame_views_;
   std::size_t bytes_received_ = 0;
 };
 

@@ -7,7 +7,24 @@ namespace volut {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x564C5554;  // "VLUT"
-constexpr std::size_t kHeaderSize = 12;       // magic + type + body length
+
+void expect_type(const Message& message, MessageType expected) {
+  if (message.type != expected) {
+    throw std::runtime_error("protocol: unexpected message type");
+  }
+}
+
+/// Writes the framed message (header + `size` body bytes) into `out`.
+void frame_into(MessageType type, const void* body, std::size_t size,
+                std::vector<std::uint8_t>& out) {
+  out.resize(kMessageHeaderSize + size);
+  const auto type_word = static_cast<std::uint32_t>(type);
+  const auto length = static_cast<std::uint32_t>(size);
+  std::memcpy(out.data(), &kMagic, 4);
+  std::memcpy(out.data() + 4, &type_word, 4);
+  std::memcpy(out.data() + 8, &length, 4);
+  if (size > 0) std::memcpy(out.data() + kMessageHeaderSize, body, size);
+}
 
 template <typename T>
 Message encode_pod(MessageType type, const T& value) {
@@ -20,9 +37,7 @@ Message encode_pod(MessageType type, const T& value) {
 
 template <typename T>
 T decode_pod(const Message& message, MessageType expected) {
-  if (message.type != expected) {
-    throw std::runtime_error("protocol: unexpected message type");
-  }
+  expect_type(message, expected);
   if (message.body.size() < sizeof(T)) {
     throw std::runtime_error("protocol: truncated body");
   }
@@ -34,38 +49,47 @@ T decode_pod(const Message& message, MessageType expected) {
 }  // namespace
 
 std::vector<std::uint8_t> frame_message(const Message& message) {
-  std::vector<std::uint8_t> out(kHeaderSize + message.body.size());
-  const std::uint32_t type = static_cast<std::uint32_t>(message.type);
-  const std::uint32_t length = static_cast<std::uint32_t>(message.body.size());
-  std::memcpy(out.data(), &kMagic, 4);
-  std::memcpy(out.data() + 4, &type, 4);
-  std::memcpy(out.data() + 8, &length, 4);
-  std::memcpy(out.data() + kHeaderSize, message.body.data(),
-              message.body.size());
+  std::vector<std::uint8_t> out;
+  frame_into(message.type, message.body.data(), message.body.size(), out);
   return out;
 }
 
+void frame_chunk_request(const ChunkRequest& req,
+                         std::vector<std::uint8_t>& out) {
+  frame_into(MessageType::kChunkRequest, &req, sizeof(req), out);
+}
+
 void FrameParser::feed(const std::uint8_t* data, std::size_t size) {
+  if (read_ == buffer_.size()) {
+    buffer_.clear();
+  } else if (read_ > 0) {
+    buffer_.erase(buffer_.begin(), buffer_.begin() + std::ptrdiff_t(read_));
+  }
+  read_ = 0;
   buffer_.insert(buffer_.end(), data, data + size);
 }
 
-std::optional<Message> FrameParser::next() {
-  if (buffer_.size() < kHeaderSize) return std::nullopt;
-  std::uint8_t header[kHeaderSize];
-  for (std::size_t i = 0; i < kHeaderSize; ++i) header[i] = buffer_[i];
+bool FrameParser::next(Message& out) {
+  const std::size_t available = buffer_.size() - read_;
+  if (available < kMessageHeaderSize) return false;
+  const std::uint8_t* header = buffer_.data() + read_;
   std::uint32_t magic, type, length;
   std::memcpy(&magic, header, 4);
   std::memcpy(&type, header + 4, 4);
   std::memcpy(&length, header + 8, 4);
   if (magic != kMagic) throw std::runtime_error("protocol: bad magic");
-  if (buffer_.size() < kHeaderSize + length) return std::nullopt;
+  if (available - kMessageHeaderSize < length) return false;
 
+  const std::uint8_t* body = header + kMessageHeaderSize;
+  out.type = static_cast<MessageType>(type);
+  out.body.assign(body, body + length);
+  read_ += kMessageHeaderSize + length;
+  return true;
+}
+
+std::optional<Message> FrameParser::next() {
   Message message;
-  message.type = static_cast<MessageType>(type);
-  message.body.assign(buffer_.begin() + kHeaderSize,
-                      buffer_.begin() + kHeaderSize + length);
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + kHeaderSize + length);
+  if (!next(message)) return std::nullopt;
   return message;
 }
 
@@ -103,10 +127,14 @@ ErrorResponse decode_error(const Message& message) {
 }
 
 EncodedChunk decode_chunk_response(const Message& message) {
-  if (message.type != MessageType::kChunkResponse) {
-    throw std::runtime_error("protocol: unexpected message type");
-  }
+  expect_type(message, MessageType::kChunkResponse);
   return parse_chunk(message.body);
+}
+
+ChunkHeader decode_chunk_response_views(const Message& message,
+                                        std::vector<FrameView>& frames) {
+  expect_type(message, MessageType::kChunkResponse);
+  return parse_chunk_views(message.body, frames);
 }
 
 }  // namespace volut

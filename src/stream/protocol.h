@@ -1,7 +1,7 @@
 // The DASH-like client/server protocol (§6: "We develop a custom DASH-like
 // protocol over TCP for client-server communication").
 //
-// Message framing: a 16-byte header (magic, type, body length) followed by a
+// Message framing: a 12-byte header (magic, type, body length) followed by a
 // type-specific body. The client first fetches the manifest (video metadata,
 // chunk geometry), then issues one ChunkRequest per chunk with the
 // ABR-decided density; the server answers with the encoded chunk.
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -61,11 +60,27 @@ struct Message {
   std::vector<std::uint8_t> body;
 };
 
+/// Bytes of framing ahead of every body: magic + type + body length.
+inline constexpr std::size_t kMessageHeaderSize = 12;
+
+/// Wire size of `message` once framed, without framing it.
+inline std::size_t framed_size(const Message& message) {
+  return kMessageHeaderSize + message.body.size();
+}
+
 /// Serializes a message with framing (magic + type + length + body).
 std::vector<std::uint8_t> frame_message(const Message& message);
 
+/// Frames `req` into `out` (the bytes frame_message(encode_chunk_request(req))
+/// returns), reusing `out`'s capacity: the client's per-chunk request path.
+void frame_chunk_request(const ChunkRequest& req,
+                         std::vector<std::uint8_t>& out);
+
 /// Incremental frame parser: feed arbitrary byte slices, pop complete
-/// messages. Throws std::runtime_error on a corrupt magic.
+/// messages. Throws std::runtime_error on a corrupt magic. Fed bytes are
+/// copied once into a contiguous buffer; popping a message copies its body
+/// out and advances a read offset, and the next feed drops the consumed
+/// prefix, so the buffer stays bounded and keeps its capacity.
 class FrameParser {
  public:
   void feed(const std::uint8_t* data, std::size_t size);
@@ -73,11 +88,16 @@ class FrameParser {
     feed(data.data(), data.size());
   }
 
+  /// Pops the next complete message into `out`, reusing `out.body`'s
+  /// capacity; returns false (leaving `out` untouched) if more bytes are
+  /// needed.
+  bool next(Message& out);
   /// Returns the next complete message, or nullopt if more bytes are needed.
   std::optional<Message> next();
 
  private:
-  std::deque<std::uint8_t> buffer_;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t read_ = 0;  // offset of the first unconsumed byte
 };
 
 // --- body encoders/decoders (plain little-endian PODs) ----------------------
@@ -93,6 +113,10 @@ ManifestRequest decode_manifest_request(const Message& message);
 Manifest decode_manifest(const Message& message);
 ChunkRequest decode_chunk_request(const Message& message);
 EncodedChunk decode_chunk_response(const Message& message);
+/// Views of the chunk response's frames into `message.body` (see
+/// parse_chunk_views): valid while the message is alive and unchanged.
+ChunkHeader decode_chunk_response_views(const Message& message,
+                                        std::vector<FrameView>& frames);
 ErrorResponse decode_error(const Message& message);
 
 }  // namespace volut

@@ -27,6 +27,30 @@ PointCloud random_cloud(std::size_t n, std::uint64_t seed) {
   return pc;
 }
 
+/// Runs `bytes` through parse_chunk_views, the client's copy-free entry
+/// point, so every hostile-input case covers it next to parse_chunk.
+std::size_t parse_views(const std::vector<std::uint8_t>& bytes) {
+  std::vector<FrameView> views(3);  // stale views must be replaced
+  parse_chunk_views(bytes, views);
+  return views.size();
+}
+
+/// decode_frame_into through a view of `frame`, into a cloud that already
+/// holds points (as a reused client cloud does).
+PointCloud decode_via_view(const EncodedFrame& frame) {
+  PointCloud out = random_cloud(7, 99);
+  decode_frame_into({frame.bounds, frame.point_count, frame.payload}, out);
+  return out;
+}
+
+bool same_points(const PointCloud& a, const PointCloud& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.positions().data(), b.positions().data(),
+                     a.positions().size_bytes()) == 0 &&
+         std::memcmp(a.colors().data(), b.colors().data(),
+                     a.colors().size_bytes()) == 0;
+}
+
 TEST(CodecTest, FrameRoundTripPreservesCountAndColors) {
   const PointCloud pc = random_cloud(500, 1);
   const EncodedFrame frame = encode_frame(pc);
@@ -86,6 +110,41 @@ TEST(CodecTest, ParseTruncatedThrows) {
   auto bytes = serialize_chunk(chunk);
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(parse_chunk(bytes), std::runtime_error);
+  EXPECT_THROW(parse_views(bytes), std::runtime_error);
+}
+
+TEST(CodecTest, ByteSizeIsTheSerializedSize) {
+  for (const std::size_t frames : {0u, 1u, 17u}) {
+    EncodedChunk chunk;
+    for (std::size_t f = 0; f < frames; ++f) {
+      chunk.frames.push_back(encode_frame(random_cloud(10 + f, 20 + f)));
+    }
+    EXPECT_EQ(chunk.byte_size(), serialize_chunk(chunk).size()) << frames;
+  }
+}
+
+TEST(CodecTest, ViewsDecodeLikeTheOwningParse) {
+  EncodedChunk chunk;
+  chunk.header = {1, 9, 3, 0.5f, 2.0f};
+  // Sizes shrink then grow, so the reused cloud does both.
+  for (const std::size_t n : {120u, 40u, 200u}) {
+    chunk.frames.push_back(encode_frame(random_cloud(n, n)));
+  }
+  const auto bytes = serialize_chunk(chunk);
+  const EncodedChunk owned = parse_chunk(bytes);
+  std::vector<FrameView> views;
+  const ChunkHeader header = parse_chunk_views(bytes, views);
+  EXPECT_EQ(std::memcmp(&header, &owned.header, sizeof(header)), 0);
+  ASSERT_EQ(views.size(), 3u);
+  PointCloud reused;
+  for (std::size_t f = 0; f < views.size(); ++f) {
+    // The payload is read in place, not copied.
+    EXPECT_GE(views[f].payload.data(), bytes.data());
+    EXPECT_LE(views[f].payload.data() + views[f].payload.size(),
+              bytes.data() + bytes.size());
+    decode_frame_into(views[f], reused);
+    EXPECT_TRUE(same_points(reused, decode_frame(owned.frames[f]))) << f;
+  }
 }
 
 /// The chunk header and frame count of a serialized chunk, followed by
@@ -106,13 +165,16 @@ TEST(CodecTest, ParseRejectsFrameCountBeyondTheStream) {
   const auto hostile = chunk_prefix(0xFFFFFFF0u, {});
   ASSERT_EQ(hostile.size(), 24u);
   EXPECT_THROW(parse_chunk(hostile), std::runtime_error);
+  EXPECT_THROW(parse_views(hostile), std::runtime_error);
   // One frame header short of the claimed two frames.
   EncodedChunk two;
   two.frames.resize(2);
   auto bytes = serialize_chunk(two);
   EXPECT_EQ(parse_chunk(bytes).frames.size(), 2u);
+  EXPECT_EQ(parse_views(bytes), 2u);
   bytes.pop_back();
   EXPECT_THROW(parse_chunk(bytes), std::runtime_error);
+  EXPECT_THROW(parse_views(bytes), std::runtime_error);
 }
 
 TEST(CodecTest, ParseRejectsWrappingPayloadSize) {
@@ -129,6 +191,23 @@ TEST(CodecTest, ParseRejectsWrappingPayloadSize) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "parse_chunk: truncated stream");
   }
+  try {
+    parse_views(bytes);
+    ADD_FAILURE() << "parse_chunk_views accepted a 2^64-byte payload";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "parse_chunk: truncated stream");
+  }
+}
+
+TEST(CodecTest, DecodeRejectsTruncatedPayload) {
+  EncodedFrame frame = encode_frame(random_cloud(20, 7));
+  frame.payload.pop_back();
+  EXPECT_THROW(decode_frame(frame), std::runtime_error);
+  EXPECT_THROW(decode_via_view(frame), std::runtime_error);
+  // A hostile count is refused before it sizes the cloud.
+  frame.point_count = 0xFFFFFFFFu;
+  EXPECT_THROW(decode_frame(frame), std::runtime_error);
+  EXPECT_THROW(decode_via_view(frame), std::runtime_error);
 }
 
 TEST(CodecTest, DecodeRejectsNonFiniteOrInvertedBounds) {
@@ -144,11 +223,14 @@ TEST(CodecTest, DecodeRejectsNonFiniteOrInvertedBounds) {
     frame.bounds.hi.y = hi;
     EXPECT_THROW(decode_frame(frame), std::runtime_error)
         << "lo " << lo << " hi " << hi;
+    EXPECT_THROW(decode_via_view(frame), std::runtime_error)
+        << "lo " << lo << " hi " << hi;
   }
   // Empty frames keep their inverted empty-box bounds and decode as before.
   EncodedFrame empty = encode_frame(PointCloud{});
   empty.bounds.lo.x = nan;
   EXPECT_TRUE(decode_frame(empty).empty());
+  EXPECT_TRUE(decode_via_view(empty).empty());
 }
 
 TEST(NpyTest, HalfRoundTrip) {

@@ -2,6 +2,8 @@
 // end-to-end client/server endpoints (§6).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <memory>
 
 #include "src/metrics/chamfer.h"
@@ -61,6 +63,114 @@ TEST(FrameParserTest, BadMagicThrows) {
   FrameParser parser;
   parser.feed(junk);
   EXPECT_THROW(parser.next(), std::runtime_error);
+}
+
+TEST(FrameParserTest, ByteAtATimeCoalescedMessagesComeOutIntact) {
+  Message a, empty, c;
+  a.type = MessageType::kManifestRequest;
+  a.body = {1, 2, 3};
+  empty.type = MessageType::kError;
+  c.type = MessageType::kChunkResponse;
+  c.body.assign(300, 0x5A);
+  std::vector<std::uint8_t> bytes;
+  for (const Message* m : {&a, &empty, &c}) {
+    const auto framed = frame_message(*m);
+    bytes.insert(bytes.end(), framed.begin(), framed.end());
+  }
+  FrameParser parser;
+  std::vector<Message> out;
+  for (const std::uint8_t byte : bytes) {
+    parser.feed(&byte, 1);
+    while (auto message = parser.next()) out.push_back(std::move(*message));
+  }
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].type, a.type);
+  EXPECT_EQ(out[0].body, a.body);
+  EXPECT_EQ(out[1].type, empty.type);
+  EXPECT_TRUE(out[1].body.empty());
+  EXPECT_EQ(out[2].type, c.type);
+  EXPECT_EQ(out[2].body, c.body);
+}
+
+TEST(FrameParserTest, FeedsSplitMidMessageAllParse) {
+  // Each feed completes one message and carries half of the next, so every
+  // feed after the first lands on a partly consumed buffer.
+  constexpr std::size_t kMessages = 1000;
+  std::vector<std::uint8_t> stream;
+  std::vector<std::size_t> cuts;  // feed i ends half way into message i + 1
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    Message m;
+    m.type = MessageType::kChunkRequest;
+    m.body.assign(i % 97, std::uint8_t(i));
+    const auto framed = frame_message(m);
+    if (i > 0) cuts.push_back(stream.size() + framed.size() / 2);
+    stream.insert(stream.end(), framed.begin(), framed.end());
+  }
+  cuts.push_back(stream.size());
+  FrameParser parser;
+  Message out;
+  std::size_t fed = 0;
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    parser.feed(stream.data() + fed, cuts[i] - fed);
+    fed = cuts[i];
+    ASSERT_TRUE(parser.next(out)) << i;
+    EXPECT_EQ(out.body, std::vector<std::uint8_t>(i % 97, std::uint8_t(i)));
+    EXPECT_FALSE(parser.next(out)) << i;
+  }
+}
+
+TEST(FrameParserTest, BadMagicAfterAGoodMessageThrows) {
+  Message good;
+  good.type = MessageType::kManifestRequest;
+  good.body = {4, 5};
+  auto bytes = frame_message(good);
+  bytes.insert(bytes.end(), 16, 0xAB);
+  FrameParser parser;
+  parser.feed(bytes);
+  const auto first = parser.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->body, good.body);
+  EXPECT_THROW(parser.next(), std::runtime_error);
+}
+
+TEST(FrameParserTest, NextReusesTheBodyCapacity) {
+  Message big, small;
+  big.type = MessageType::kChunkResponse;
+  big.body.assign(1000, 1);
+  small.type = MessageType::kChunkRequest;
+  small.body.assign(10, 2);
+  FrameParser parser;
+  Message out;
+  parser.feed(frame_message(big));
+  ASSERT_TRUE(parser.next(out));
+  const std::uint8_t* storage = out.body.data();
+  const std::size_t capacity = out.body.capacity();
+  EXPECT_FALSE(parser.next(out));  // nothing pending: out is left alone
+  EXPECT_EQ(out.body, big.body);
+  parser.feed(frame_message(small));
+  ASSERT_TRUE(parser.next(out));
+  EXPECT_EQ(out.type, MessageType::kChunkRequest);
+  EXPECT_EQ(out.body, small.body);
+  EXPECT_EQ(out.body.data(), storage);
+  EXPECT_EQ(out.body.capacity(), capacity);
+}
+
+TEST(ProtocolTest, FramedSizeIsTheFramedLength) {
+  Message m;
+  m.type = MessageType::kError;
+  EXPECT_EQ(framed_size(m), frame_message(m).size());
+  m.type = MessageType::kChunkResponse;
+  m.body.assign(1 << 20, 3);
+  EXPECT_EQ(framed_size(m), frame_message(m).size());
+}
+
+TEST(ProtocolTest, FrameChunkRequestMatchesFrameMessage) {
+  std::vector<std::uint8_t> out(100, 0xEE);  // stale bytes must not survive
+  for (const ChunkRequest req : {ChunkRequest{7, 42, 0.31f},
+                                 ChunkRequest{1, 0, 1.0f}}) {
+    frame_chunk_request(req, out);
+    EXPECT_EQ(out, frame_message(encode_chunk_request(req)));
+  }
 }
 
 TEST(ProtocolTest, PodBodyRoundTrips) {
@@ -187,6 +297,106 @@ TEST_F(EndpointTest, InvalidRequestsRejected) {
   EXPECT_THROW(client_->fetch_chunk(3, 99999, 0.5f), std::runtime_error);
   EXPECT_THROW(client_->fetch_chunk(3, 0, 1.5f), std::runtime_error);
   EXPECT_THROW(client_->fetch_chunk(3, 0, 0.0f), std::runtime_error);
+}
+
+/// Client end that forwards to `inner` and passes each delivery through
+/// `tap` (which may rewrite it) before the client sees it.
+class TapTransport : public Transport {
+ public:
+  explicit TapTransport(Transport* inner) : inner_(inner) {}
+
+  void send(const std::vector<std::uint8_t>& bytes) override {
+    inner_->send(bytes);
+  }
+  void set_receive_sink(Sink sink) override {
+    inner_->set_receive_sink(
+        [this, sink = std::move(sink)](const std::vector<std::uint8_t>& in) {
+          std::vector<std::uint8_t> bytes = in;
+          if (tap) tap(bytes);
+          sink(bytes);
+        });
+  }
+
+  std::function<void(std::vector<std::uint8_t>&)> tap;
+
+ private:
+  Transport* inner_;
+};
+
+TEST_F(EndpointTest, TruncatedChunkBodyThrowsAndTheClientRecovers) {
+  TapTransport tapped(client_transport_.get());
+  VolutClient client(&tapped, std::make_shared<RefinementLut>(LutSpec{4, 16}),
+                     InterpolationConfig{});
+  // A well-framed response whose chunk body is cut short.
+  tapped.tap = [](std::vector<std::uint8_t>& bytes) {
+    FrameParser parser;
+    parser.feed(bytes);
+    Message message = *parser.next();
+    message.body.resize(message.body.size() / 2);
+    bytes = frame_message(message);
+  };
+  EXPECT_THROW(client.fetch_chunk(3, 0, 0.5f), std::runtime_error);
+  tapped.tap = nullptr;
+  const ClientChunk chunk = client.fetch_chunk(3, 1, 0.5f);
+  EXPECT_EQ(chunk.index, 1u);
+  ASSERT_FALSE(chunk.sr_frames.empty());
+  EXPECT_GT(chunk.sr_frames[0].size(), chunk.frames[0].size());
+}
+
+bool same_points(const PointCloud& a, const PointCloud& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.positions().data(), b.positions().data(),
+                     a.positions().size_bytes()) == 0 &&
+         std::memcmp(a.colors().data(), b.colors().data(),
+                     a.colors().size_bytes()) == 0;
+}
+
+TEST_F(EndpointTest, FetchChunkIntoReusedChunkMatchesFreshFetches) {
+  // A second server + client with the same seeds answers the same request
+  // sequence with fresh by-value fetches.
+  auto [fresh_end, fresh_server_end] = InMemoryTransport::make_pair();
+  VideoSpec spec = VideoSpec::loot(0.01);
+  spec.frame_count = 600;
+  spec.loops = 1;
+  const ServerEndpoint fresh_server(spec, fresh_server_end.get());
+  InterpolationConfig interp;
+  interp.dilation = 2;
+  VolutClient fresh(fresh_end.get(),
+                    std::make_shared<RefinementLut>(LutSpec{4, 16}), interp);
+
+  // Record what the reused client receives, as whole framed messages.
+  TapTransport tapped(client_transport_.get());
+  VolutClient reused(&tapped, std::make_shared<RefinementLut>(LutSpec{4, 16}),
+                     interp);
+  std::size_t framed_bytes = 0;
+  tapped.tap = [&framed_bytes](std::vector<std::uint8_t>& bytes) {
+    FrameParser parser;
+    parser.feed(bytes);
+    while (auto message = parser.next()) {
+      framed_bytes += frame_message(*message).size();
+    }
+  };
+
+  ClientChunk chunk;
+  std::uint32_t index = 0;
+  for (const float density : {1.0f, 0.25f, 0.5f, 1.0f}) {
+    reused.fetch_chunk_into(3, index, density, chunk);
+    const ClientChunk expected = fresh.fetch_chunk(3, index, density);
+    EXPECT_EQ(chunk.index, expected.index);
+    EXPECT_EQ(chunk.density_ratio, expected.density_ratio);
+    EXPECT_EQ(chunk.wire_bytes, expected.wire_bytes);
+    ASSERT_EQ(chunk.frames.size(), expected.frames.size());
+    ASSERT_EQ(chunk.sr_frames.size(), expected.sr_frames.size());
+    for (std::size_t f = 0; f < chunk.frames.size(); ++f) {
+      EXPECT_TRUE(same_points(chunk.frames[f], expected.frames[f]))
+          << density << " frame " << f;
+      EXPECT_TRUE(same_points(chunk.sr_frames[f], expected.sr_frames[f]))
+          << density << " frame " << f;
+    }
+    ++index;
+  }
+  EXPECT_EQ(reused.total_bytes_received(), framed_bytes);
+  EXPECT_EQ(fresh.total_bytes_received(), framed_bytes);
 }
 
 // Drives the server over raw framed bytes (no VolutClient) to pin down the

@@ -3,6 +3,7 @@
 // end-to-end SrPipeline invariants the streaming system relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 
@@ -188,6 +189,31 @@ TEST_F(TrainedSrTest, FractionalRatiosSupported) {
                 double(low.size()) * 0.02)
         << "ratio " << ratio;
   }
+}
+
+TEST_F(TrainedSrTest, UpsampleIntoAReusedCloudMatchesUpsample) {
+  // One output cloud, grown and shrunk across ratios, must hold exactly what
+  // a fresh upsample() returns.
+  const SyntheticVideo video(VideoSpec::dress(0.03));
+  Rng rng(13);
+  const PointCloud low = video.frame(8).random_downsample(0.5f, rng);
+  InterpolationConfig interp;
+  SrPipeline pipeline(std::shared_ptr<const RefinementLut>(
+                          lut_, [](const RefinementLut*) {}),
+                      interp);
+  PointCloud out;
+  for (double ratio : {2.0, 4.0, 1.0, 2.5}) {
+    pipeline.upsample_into(low, ratio, out);
+    const SrResult fresh = pipeline.upsample(low, ratio);
+    ASSERT_EQ(out.size(), fresh.cloud.size()) << "ratio " << ratio;
+    EXPECT_TRUE(std::equal(out.positions().begin(), out.positions().end(),
+                           fresh.cloud.positions().begin()))
+        << "ratio " << ratio;
+    EXPECT_TRUE(std::equal(out.colors().begin(), out.colors().end(),
+                           fresh.cloud.colors().begin()))
+        << "ratio " << ratio;
+  }
+  EXPECT_THROW(pipeline.upsample_into(out, 2.0, out), std::invalid_argument);
 }
 
 TEST_F(TrainedSrTest, RefinementOffsetsAreBounded) {
