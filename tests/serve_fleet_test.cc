@@ -6,6 +6,7 @@
 // in ctest.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -208,7 +209,7 @@ TEST(FleetFaultSweepTest, ArmedScheduleBitIdenticalAcrossPoolWorkerCounts) {
 }
 
 // ~128-session fleets on 4 replicas, each pinned by the FNV-1a digest of its
-// whole event timeline and its end time. The constants were captured from
+// whole event timeline, its end time and the bits of its drain accounting. The constants were captured from
 // the fleet event loop that scanned every client on every iteration, before
 // the due-time index and the horizon-bounded uplink walk replaced those
 // scans; any drift in event order, timestamps or values flips a digest.
@@ -246,11 +247,19 @@ TEST(FleetDigestTest, TimelinesMatchPinnedDigests) {
     FleetConfig config;
     std::uint64_t digest;
     double sim_seconds;
+    // Bit patterns of each replica's (bits_drained, bytes_completed), then
+    // the fleet's bytes_discarded: the link's drain accounting, pinned.
+    std::vector<std::uint64_t> drain;
   };
   std::vector<Case> cases;
 
   cases.push_back({"fault_free", digest_config(), 0x87e6a6b0b476a9aeull,
-                   32.429634459296558});
+                   32.429634459296558,
+                   {0x41d4bd8c2f28f654ull, 0x41a4bd8c2f28f5c2ull,
+                    0x41d478f2b624dd88ull, 0x41a478f2b624dd2full,
+                    0x41d1c02fc4e55fc1ull, 0x41a1c02fc4e56040ull,
+                    0x41d4811d8699999bull, 0x41a4811d8699999aull,
+                    0x0000000000000000ull}});
 
   FleetConfig faulted = digest_config();
   faulted.faults.seed = 0x5EED13u;
@@ -266,19 +275,34 @@ TEST(FleetDigestTest, TimelinesMatchPinnedDigests) {
   faulted.max_wait_seconds = 10.0;
   faulted.max_sessions_per_replica = 24;
   cases.push_back({"faults_waiting_room", faulted, 0xa4621162c06183f1ull,
-                   68.273960894410664});
+                   68.273960894410664,
+                   {0x41db6656a7d8eb26ull, 0x41a5d1fb806872b0ull,
+                    0x41d6b2211ea910a3ull, 0x4197774795900aeeull,
+                    0x41d733f75e46ff19ull, 0x41a733f75e46ff51ull,
+                    0x41d01f6eb11c98ecull, 0x419ee955087d9c56ull,
+                    0x41a1359ca82f4d3eull}});
 
   FleetConfig instant = digest_config();
   instant.rtt_seconds = 0.0;
   instant.encode_seconds_full = 0.0;
   cases.push_back({"zero_rtt_zero_encode", instant, 0x9e1be897fa387790ull,
-                   32.673576707677682});
+                   32.673576707677682,
+                   {0x41d4a7b7201687beull, 0x41a4a7b72016872cull,
+                    0x41d4ed01f8a3d716ull, 0x41a4ed01f8a3d70aull,
+                    0x41d1299a8aeb8585ull, 0x41a1299a8aeb8520ull,
+                    0x41d4b0d34ae147cbull, 0x41a4b0d34ae147aeull,
+                    0x0000000000000000ull}});
 
   FleetConfig patient = digest_config();
   patient.max_wait_seconds = std::numeric_limits<double>::infinity();
   patient.max_sessions_per_replica = 16;
   cases.push_back({"unbounded_wait_capped", patient, 0x92bc7987d8a44205ull,
-                   34.547557040471503});
+                   34.547557040471503,
+                   {0x41d66914d2b43919ull, 0x41a66914d2b43958ull,
+                    0x41d33dc0f39fbecdull, 0x41a33dc0f39fbe77ull,
+                    0x41d29924a5666581ull, 0x41a29924a5666664ull,
+                    0x41d39a1088e56050ull, 0x41a39a1088e56042ull,
+                    0x0000000000000000ull}});
 
   for (const Case& c : cases) {
     const FleetResult r = run_fleet(c.config);
@@ -290,6 +314,20 @@ TEST(FleetDigestTest, TimelinesMatchPinnedDigests) {
                   (unsigned long long)digest, r.sim_seconds);
     EXPECT_EQ(digest, c.digest) << c.name << ": got " << got;
     EXPECT_EQ(r.sim_seconds, c.sim_seconds) << c.name << ": got " << got;
+    std::vector<std::uint64_t> drain;
+    std::string drain_got;
+    const auto pin = [&](double v) {
+      drain.push_back(std::bit_cast<std::uint64_t>(v));
+      std::snprintf(got, sizeof(got), " 0x%016llxull,",
+                    (unsigned long long)drain.back());
+      drain_got += got;
+    };
+    for (const ReplicaStats& replica : r.replicas) {
+      pin(replica.bits_drained);
+      pin(replica.bytes_completed);
+    }
+    pin(r.bytes_discarded);
+    EXPECT_EQ(drain, c.drain) << c.name << ": got" << drain_got;
     // Each config exercises the path it names.
     if (c.config.max_sessions_per_replica != 0) {
       EXPECT_GT(r.queue_depth_peak, 0u) << c.name;

@@ -708,6 +708,52 @@ TEST(SharedLinkTest, HorizonBoundedWalkIsExactUpToTheHorizon) {
   EXPECT_GT(beyond, 400u);
 }
 
+TEST(SharedLinkTest, AdvanceCompletesExactlyAtThePeekedTime) {
+  // The contract the fleet event loop relies on, bit for bit: after
+  // t = next_completion_time(now), advance(now, t) delivers its first
+  // completion at exactly t. Random flow sets as in the horizon sweep, each
+  // driven peek -> advance until it drains or the link stalls.
+  const std::vector<BandwidthTrace> uplinks = {
+      BandwidthTrace::lte(40.0, 10.0, 60.0, 7),
+      BandwidthTrace::stable(25.0, 60.0),
+      BandwidthTrace({0.0, 6.0, 0.0, 0.0, 12.0}, 0.5),
+      BandwidthTrace::lte(5.0, 2.0, 30.0, 9)};
+  const std::vector<BandwidthTrace> caps = {
+      BandwidthTrace::lte(8.0, 3.0, 20.0, 11),
+      BandwidthTrace::stable(6.0, 20.0)};
+  const double scales[] = {1.0, 0.5, 0.0, 2.0};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  CounterRng rng(0x11C0DEu);
+  std::size_t steps = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    SharedLink link(uplinks[rng.next(uplinks.size())]);
+    link.set_rate_scale(scales[rng.next(4)]);
+    const std::uint64_t flows = 1 + rng.next(8);
+    for (std::uint64_t f = 0; f < flows; ++f) {
+      const double bytes =
+          rng.next(10) == 0 ? 0.0 : 1e4 + double(rng.uniform()) * 4e6;
+      const BandwidthTrace* cap =
+          rng.next(3) == 0 ? &caps[rng.next(caps.size())] : nullptr;
+      link.start_flow(bytes, cap);
+    }
+    double now = double(rng.uniform()) * 20.0;
+    if (rng.next(2) == 0) link.advance(0.0, now);
+    while (link.active_flows() > 0) {
+      const double t = link.next_completion_time(now);
+      if (!std::isfinite(t)) break;
+      const std::size_t before = link.active_flows();
+      const auto done = link.advance(now, t);
+      ASSERT_FALSE(done.empty()) << "trial " << trial << " t " << t;
+      EXPECT_EQ(bits(done[0].time), bits(t)) << "trial " << trial;
+      EXPECT_EQ(link.active_flows(), before - done.size());
+      now = t;
+      ++steps;
+    }
+  }
+  // Most sets drain through several completions each.
+  EXPECT_GT(steps, 4000u);
+}
+
 TEST(SharedLinkTest, DeadTraceDetectorFiresOnlyBeforeTheHorizon) {
   SharedLink link(BandwidthTrace({0.0, 0.0}, 0.5));
   link.start_flow(1e6);
