@@ -323,7 +323,7 @@ void BM_BatchKnnSimd(benchmark::State& state) {
 void BatchKnnSimdArgs(benchmark::internal::Benchmark* b) {
   b->ArgNames({"simd", "threads"});
   for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+       {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     if (!simd_available(level)) continue;  // skip levels this host lacks
     for (const int threads : {1, 2, 4, 8}) {
       b->Args({static_cast<long>(level), threads});

@@ -19,8 +19,6 @@ class ThroughputEstimator {
     if (samples_.size() > window_) samples_.pop_front();
   }
 
-  bool has_samples() const { return !samples_.empty(); }
-
   /// Harmonic-mean estimate; `fallback_mbps` until the first sample lands.
   double estimate_mbps(double fallback_mbps = 20.0) const {
     if (samples_.empty()) return fallback_mbps;

@@ -136,6 +136,10 @@ ChunkHeader parse_chunk_views(std::span<const std::uint8_t> bytes,
   ChunkHeader header;
   need(sizeof(ChunkHeader));
   read(&header, sizeof(ChunkHeader));
+  if (!std::isfinite(header.density_ratio) ||
+      !std::isfinite(header.sr_ratio)) {
+    throw std::runtime_error("parse_chunk: non-finite ratio in chunk header");
+  }
   std::uint32_t frame_count = 0;
   need(sizeof(frame_count));
   read(&frame_count, sizeof(frame_count));

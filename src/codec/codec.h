@@ -74,7 +74,8 @@ PointCloud decode_frame(const EncodedFrame& frame);
 std::vector<std::uint8_t> serialize_chunk(const EncodedChunk& chunk);
 /// Parses the chunk header and one view per frame into `frames` (resized,
 /// capacity reused) without copying any payload. Throws std::runtime_error
-/// on a truncated stream, before any allocation a hostile count could size.
+/// on a truncated stream, before any allocation a hostile count could size,
+/// and on a non-finite density or SR ratio in the header.
 ChunkHeader parse_chunk_views(std::span<const std::uint8_t> bytes,
                               std::vector<FrameView>& frames);
 /// parse_chunk_views with every payload copied out.

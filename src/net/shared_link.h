@@ -108,14 +108,25 @@ class SharedLink {
   struct Flow {
     std::uint64_t id = 0;
     double total_bytes = 0.0;
-    double remaining_bits = 0.0;
     const BandwidthTrace* cap = nullptr;  // unowned
     std::uint64_t owner = 0;
   };
 
+  /// The one segment walk behind both public calls. Drains `rem` (bits left
+  /// per flow, aligned with flows_) from `t` segment by segment at
+  /// fill_rates' rates, adding every drained bit to `drained`, and stops at
+  /// the first completion: returns that flow's index, with its `rem` at
+  /// zero and `t` at its completion time. Returns flows_.size() when none
+  /// is found: idle, blackout, past `until`, or (peek only) a dead trace.
+  /// Peek mode (next_completion_time, on a scratch copy) drains whole
+  /// segments and accepts the first completion it meets, even one past
+  /// `until`; commit mode (advance, on remaining_) accepts a completion only
+  /// up to min(boundary, until) and otherwise drains up to `until`.
+  std::size_t walk(std::vector<double>& rem, double& t, double until,
+                   bool peek, double& drained) const;
   /// Fills rates_ with every active flow's drain rate (bits/s) at time `t`:
   /// the equal share of the scaled uplink, capped per flow by its access
-  /// link. The one rate formula both segment walks use.
+  /// link.
   void fill_rates(double t) const;
   /// Next piecewise-constant boundary after `t` across the uplink trace and
   /// every active flow's cap trace.
@@ -123,17 +134,18 @@ class SharedLink {
 
   BandwidthTrace trace_;
   std::vector<Flow> flows_;
+  std::vector<double> remaining_;  // bits left per flow, aligned with flows_
   std::uint64_t next_id_ = 1;
   double rate_scale_ = 1.0;
   double bits_drained_ = 0.0;
   double bytes_completed_ = 0.0;
   std::uint64_t flows_aborted_ = 0;
   double bytes_aborted_ = 0.0;
-  // single-threaded: per-segment scratch of the two walks, reused across
-  // calls so neither allocates, and the const walk's detector tally; a
-  // SharedLink is driven by one event loop.
+  // single-threaded: the walk's per-segment rates and next_completion_time's
+  // copy of remaining_, reused across calls so neither allocates, and the
+  // peek walk's detector tally; a SharedLink is driven by one event loop.
   mutable std::vector<double> rates_;
-  mutable std::vector<double> remaining_;
+  mutable std::vector<double> scratch_;
   mutable std::uint64_t dead_trace_detections_ = 0;
 };
 

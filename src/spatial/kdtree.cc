@@ -26,7 +26,7 @@ struct KnnTally {
 #if VOLUT_OBS_ENABLED
     struct Counters {
       Counter* queries;
-      Counter* leaf_scans[3];  // indexed by SimdLevel
+      Counter* leaf_scans[2];  // indexed by SimdLevel
       Counter* points_scanned;
       Counter* heap_pushes;
     };
@@ -34,7 +34,6 @@ struct KnnTally {
       MetricsRegistry& reg = MetricsRegistry::global();
       return Counters{&reg.counter("spatial/knn_queries"),
                       {&reg.counter("spatial/leaf_scans/scalar"),
-                       &reg.counter("spatial/leaf_scans/sse2"),
                        &reg.counter("spatial/leaf_scans/avx2")},
                       &reg.counter("spatial/points_scanned"),
                       &reg.counter("spatial/heap_pushes")};

@@ -33,14 +33,6 @@ bool cpu_supports(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return true;
-    case SimdLevel::kSse2:
-#if defined(__x86_64__)
-      return true;  // SSE2 is x86-64 baseline
-#elif defined(__i386__)
-      return __builtin_cpu_supports("sse2");
-#else
-      return false;
-#endif
     case SimdLevel::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2");
@@ -62,13 +54,11 @@ SimdLevel env_clamped(SimdLevel detected) {
   SimdLevel requested = detected;
   if (std::strcmp(env, "scalar") == 0) {
     requested = SimdLevel::kScalar;
-  } else if (std::strcmp(env, "sse2") == 0) {
-    requested = SimdLevel::kSse2;
   } else if (std::strcmp(env, "avx2") == 0) {
     requested = SimdLevel::kAvx2;
   } else {
     std::fprintf(stderr,
-                 "VOLUT_SIMD=%s not recognized (want avx2|sse2|scalar); "
+                 "VOLUT_SIMD=%s not recognized (want avx2|scalar); "
                  "using %s\n",
                  env, simd_level_name(detected));
     return detected;
@@ -90,8 +80,6 @@ const char* simd_level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -102,8 +90,6 @@ bool simd_available(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return true;
-    case SimdLevel::kSse2:
-      return cpu_supports(level) && sse2_leaf_scan_kernel() != nullptr;
     case SimdLevel::kAvx2:
       return cpu_supports(level) && avx2_leaf_scan_kernel() != nullptr;
   }
@@ -113,7 +99,6 @@ bool simd_available(SimdLevel level) {
 SimdLevel simd_detected_level() {
   static const SimdLevel detected = [] {
     if (simd_available(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-    if (simd_available(SimdLevel::kSse2)) return SimdLevel::kSse2;
     return SimdLevel::kScalar;
   }();
   return detected;
@@ -141,9 +126,6 @@ LeafScanFn leaf_scan_kernel(SimdLevel level) {
   switch (level) {
     case SimdLevel::kAvx2:
       fn = avx2_leaf_scan_kernel();
-      break;
-    case SimdLevel::kSse2:
-      fn = sse2_leaf_scan_kernel();
       break;
     case SimdLevel::kScalar:
       break;

@@ -6,12 +6,12 @@
 // (§4.1) brute-force-scans an octree cell with thousands of threads; the CPU
 // substrate equivalent is a vectorized leaf scan: every kd-tree leaf keeps an
 // SoA mirror of its points (x[]/y[]/z[] contiguous, padded to kSoaLeafPad),
-// and the scan computes 8 squared distances per iteration with AVX2 (4 with
-// SSE2, 1 scalar) before feeding survivors to the shared NeighborHeap.
+// and the scan computes 8 squared distances per iteration with AVX2 (1
+// scalar) before feeding survivors to the shared NeighborHeap.
 //
 // Dispatch is resolved once per process: the CPU is cpuid-probed for the
 // highest level this binary carries kernels for, and the VOLUT_SIMD
-// environment variable (avx2|sse2|scalar) clamps it down for A/B runs.
+// environment variable (avx2|scalar) clamps it down for A/B runs.
 // Tests and benches switch levels in-process via simd_force_level().
 //
 // Every level is bit-identical to every other: kernels use the exact
@@ -32,8 +32,8 @@ namespace volut {
 
 class NeighborHeap;
 
-/// Vector-dispatch level, ordered by width. kAvx2 > kSse2 > kScalar.
-enum class SimdLevel : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Vector-dispatch level, ordered by width. kAvx2 > kScalar.
+enum class SimdLevel : int { kScalar = 0, kAvx2 = 1 };
 
 /// SoA leaves are padded to a multiple of this many points (the AVX2 lane
 /// count) with +inf coordinates, so every kernel reads whole vectors without
@@ -106,14 +106,13 @@ void simd_clear_forced_level();
 LeafScanFn leaf_scan_kernel(SimdLevel level);
 LeafScanFn active_leaf_scan();
 
-/// The top-8 kernel when the active level is AVX2, else nullptr: scalar and
-/// SSE2 searches keep the NeighborHeap leaf scan.
+/// The top-8 kernel when the active level is AVX2, else nullptr: scalar
+/// searches keep the NeighborHeap leaf scan.
 Top8ScanFn active_top8_scan();
 
-/// Per-arch kernel getters, defined in knn_simd_{sse2,avx2}.cc (the only TUs
-/// built with -msse2/-mavx2). Return nullptr when the backend was compiled
-/// out (non-x86 target or -DVOLUT_SIMD=OFF).
-LeafScanFn sse2_leaf_scan_kernel();
+/// Per-arch kernel getters, defined in knn_simd_avx2.cc (the only TU built
+/// with -mavx2). Return nullptr when the backend was compiled out (non-x86
+/// target or -DVOLUT_SIMD=OFF).
 LeafScanFn avx2_leaf_scan_kernel();
 Top8ScanFn avx2_top8_scan_kernel();
 

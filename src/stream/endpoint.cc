@@ -54,8 +54,10 @@ void ServerEndpoint::handle(const Message& message) {
     }
     case MessageType::kChunkRequest: {
       const ChunkRequest req = decode_chunk_request(message);
+      // Written so NaN fails too: it would reach random_downsample's
+      // float-to-size_t cast.
       if (req.chunk_index >= server_.chunk_count(chunk_seconds_) ||
-          req.density_ratio <= 0.0f || req.density_ratio > 1.0f) {
+          !(req.density_ratio > 0.0f && req.density_ratio <= 1.0f)) {
         transport_->send(frame_message(encode_error({/*code=*/400})));
         return;
       }

@@ -135,7 +135,6 @@ class SessionEngine {
 
   const SessionConfig& config() const { return config_; }
   bool done() const { return next_index_ >= n_chunks_; }
-  std::size_t next_index() const { return next_index_; }
   std::size_t total_chunks() const { return n_chunks_; }
   double full_chunk_bytes() const { return full_bytes_; }
   /// True if the system fetches assets before the first chunk (YuZu SR

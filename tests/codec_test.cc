@@ -177,6 +177,23 @@ TEST(CodecTest, ParseRejectsFrameCountBeyondTheStream) {
   EXPECT_THROW(parse_views(bytes), std::runtime_error);
 }
 
+TEST(CodecTest, ParseRejectsNonFiniteHeaderRatios) {
+  // A NaN or infinite ratio used to reach SR as "the maximum partner ratio".
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const auto& [density, sr] : std::vector<std::pair<float, float>>{
+           {nan, 2.0f}, {0.5f, nan}, {inf, 1.0f}, {0.5f, -inf}}) {
+    EncodedChunk chunk;
+    chunk.header = {1, 2, 0, density, sr};
+    const auto bytes = serialize_chunk(chunk);
+    EXPECT_THROW(parse_chunk(bytes), std::runtime_error) << density << sr;
+    EXPECT_THROW(parse_views(bytes), std::runtime_error) << density << sr;
+  }
+  EncodedChunk good;
+  good.header = {1, 2, 0, 0.5f, 2.0f};
+  EXPECT_EQ(parse_views(serialize_chunk(good)), 0u);
+}
+
 TEST(CodecTest, ParseRejectsWrappingPayloadSize) {
   // A payload_size near 2^64 would wrap `off + n` past the bounds check;
   // the parser must still report a truncated stream, not length_error.

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "src/metrics/chamfer.h"
@@ -341,6 +342,32 @@ TEST_F(EndpointTest, TruncatedChunkBodyThrowsAndTheClientRecovers) {
   EXPECT_EQ(chunk.index, 1u);
   ASSERT_FALSE(chunk.sr_frames.empty());
   EXPECT_GT(chunk.sr_frames[0].size(), chunk.frames[0].size());
+}
+
+TEST_F(EndpointTest, NanDensityGets400AndTheClientRecovers) {
+  // NaN slips past `r <= 0 || r > 1`; the server must refuse it before
+  // random_downsample casts NaN * size to an integer.
+  TapTransport tapped(client_transport_.get());
+  VolutClient client(&tapped, std::make_shared<RefinementLut>(LutSpec{4, 16}),
+                     InterpolationConfig{});
+  std::vector<std::uint32_t> error_codes;
+  tapped.tap = [&error_codes](std::vector<std::uint8_t>& bytes) {
+    FrameParser parser;
+    parser.feed(bytes);
+    while (auto message = parser.next()) {
+      if (message->type == MessageType::kError) {
+        error_codes.push_back(decode_error(*message).code);
+      }
+    }
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(client.fetch_chunk(3, 0, nan), std::runtime_error);
+  EXPECT_EQ(error_codes, std::vector<std::uint32_t>{400});
+  EXPECT_EQ(server_->chunks_served(), 0u);
+  const ClientChunk chunk = client.fetch_chunk(3, 1, 0.5f);
+  EXPECT_EQ(chunk.index, 1u);
+  EXPECT_EQ(server_->chunks_served(), 1u);
+  EXPECT_EQ(error_codes.size(), 1u);
 }
 
 bool same_points(const PointCloud& a, const PointCloud& b) {

@@ -557,7 +557,7 @@ struct SimdLevelGuard {
 std::vector<SimdLevel> available_levels() {
   std::vector<SimdLevel> levels;
   for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+       {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     if (simd_available(level)) levels.push_back(level);
   }
   return levels;

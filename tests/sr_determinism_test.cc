@@ -131,7 +131,7 @@ TEST(SimdDeterminismTest, InterpolateBitIdenticalAcrossSimdLevelsAndWorkers) {
     ASSERT_TRUE(simd_force_level(SimdLevel::kScalar));
     const std::uint64_t reference = fingerprint(interpolate(pc, 2.7, cfg));
     for (const SimdLevel level :
-         {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+         {SimdLevel::kScalar, SimdLevel::kAvx2}) {
       if (!simd_available(level)) continue;
       ASSERT_TRUE(simd_force_level(level));
       for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
