@@ -71,23 +71,27 @@ double SharedLink::next_boundary(double t) const {
   return b;
 }
 
+template <bool peek>
 std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
-                              double until, bool peek,
-                              double& drained) const {
+                             double until, double& drained) const {
   const std::size_t n = flows_.size();
   // Zero-capacity futility cutoff (peek only): every involved trace is
   // periodic, so if no flow drains a single bit across a span covering a
   // couple of full periods of each trace, capacity is effectively zero and
   // nothing will ever complete — stop instead of grinding through
   // kMaxSegments. Commit mode keeps walking: the span counts segments, not
-  // time, so capacity may still return before `until`.
-  std::size_t dead_span = 2 * trace_.sample_count() + 4;
-  for (const Flow& f : flows_) {
-    if (peek && f.cap != nullptr && !f.cap->empty()) {
-      dead_span = std::max(dead_span, 2 * f.cap->sample_count() + 4);
+  // time, so capacity may still return before `until`. Evaluated only on
+  // idle segments, which are rare.
+  const auto dead_span = [this] {
+    std::size_t span = 2 * trace_.sample_count() + 4;
+    for (const Flow& f : flows_) {
+      if (f.cap != nullptr && !f.cap->empty()) {
+        span = std::max(span, 2 * f.cap->sample_count() + 4);
+      }
     }
-  }
-  int idle_segments = 0;
+    return span;
+  };
+  std::size_t idle_segments = 0;
   for (int guard = 0; guard < kMaxSegments; ++guard) {
     // A flow with nothing left to send (zero-byte artifact, or drained
     // exactly dry at a window edge) completes at t before any rate math —
@@ -124,14 +128,16 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
       }
     }
     if (winner < n && (peek || t_complete <= segment_end)) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i == winner || rates_[i] <= 0.0) continue;
-        const double amount = rates_[i] * (t_complete - t);
-        rem[i] -= amount;
-        drained += amount;
+      if (!peek) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (i == winner || rates_[i] <= 0.0) continue;
+          const double amount = rates_[i] * (t_complete - t);
+          rem[i] -= amount;
+          drained += amount;
+        }
+        drained += rem[winner];
+        rem[winner] = 0.0;
       }
-      drained += rem[winner];
-      rem[winner] = 0.0;
       t = t_complete;
       return winner;
     }
@@ -143,8 +149,9 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
       drained += amount;
       moved = true;
     }
-    idle_segments = moved ? 0 : idle_segments + 1;
-    if (peek && std::size_t(idle_segments) > dead_span) {
+    if (moved) {
+      idle_segments = 0;
+    } else if (peek && ++idle_segments > dead_span()) {
       ++dead_trace_detections_;
       return n;
     }
@@ -164,7 +171,7 @@ double SharedLink::next_completion_time(double now, double horizon) const {
   scratch_ = remaining_;
   double t = std::max(0.0, now);
   double drained = 0.0;
-  return walk(scratch_, t, horizon, /*peek=*/true, drained) < flows_.size()
+  return walk<true>(scratch_, t, horizon, drained) < flows_.size()
              ? t
              : kInf;
 }
@@ -174,8 +181,7 @@ std::vector<SharedLink::Completion> SharedLink::advance(double now,
   std::vector<Completion> done;
   double t = std::max(0.0, now);
   for (;;) {
-    const std::size_t i =
-        walk(remaining_, t, until, /*peek=*/false, bits_drained_);
+    const std::size_t i = walk<false>(remaining_, t, until, bits_drained_);
     if (i == flows_.size()) break;
     bytes_completed_ += flows_[i].total_bytes;
     done.push_back({flows_[i].id, t, flows_[i].owner});

@@ -115,15 +115,20 @@ class SharedLink {
   /// The one segment walk behind both public calls. Drains `rem` (bits left
   /// per flow, aligned with flows_) from `t` segment by segment at
   /// fill_rates' rates, adding every drained bit to `drained`, and stops at
-  /// the first completion: returns that flow's index, with its `rem` at
-  /// zero and `t` at its completion time. Returns flows_.size() when none
-  /// is found: idle, blackout, past `until`, or (peek only) a dead trace.
+  /// the first completion: returns that flow's index with `t` at its
+  /// completion time, or flows_.size() when there is none (idle, blackout,
+  /// past `until`, or in peek mode a dead trace).
   /// Peek mode (next_completion_time, on a scratch copy) drains whole
   /// segments and accepts the first completion it meets, even one past
-  /// `until`; commit mode (advance, on remaining_) accepts a completion only
-  /// up to min(boundary, until) and otherwise drains up to `until`.
+  /// `until`. Commit mode (advance, on remaining_) accepts a completion only
+  /// up to min(boundary, until), drains the other flows up to it and the
+  /// completed one exactly to zero; without one it drains up to `until`.
+  /// A template argument so each caller's walk compiles without the other
+  /// mode's bookkeeping: the per-call cost stays that of the two walks it
+  /// replaced.
+  template <bool peek>
   std::size_t walk(std::vector<double>& rem, double& t, double until,
-                   bool peek, double& drained) const;
+                   double& drained) const;
   /// Fills rates_ with every active flow's drain rate (bits/s) at time `t`:
   /// the equal share of the scaled uplink, capped per flow by its access
   /// link.
