@@ -136,7 +136,6 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
           drained += amount;
         }
         drained += rem[winner];
-        rem[winner] = 0.0;
       }
       t = t_complete;
       return winner;

@@ -121,11 +121,10 @@ class SharedLink {
   /// Peek mode (next_completion_time, on a scratch copy) drains whole
   /// segments and accepts the first completion it meets, even one past
   /// `until`. Commit mode (advance, on remaining_) accepts a completion only
-  /// up to min(boundary, until), drains the other flows up to it and the
-  /// completed one exactly to zero; without one it drains up to `until`.
-  /// A template argument so each caller's walk compiles without the other
-  /// mode's bookkeeping: the per-call cost stays that of the two walks it
-  /// replaced.
+  /// up to min(boundary, until), drains the other flows up to it and counts
+  /// the completed one's remainder; without one it drains up to `until`.
+  /// `peek` is a template argument so neither mode pays for the other's
+  /// bookkeeping per call.
   template <bool peek>
   std::size_t walk(std::vector<double>& rem, double& t, double until,
                    double& drained) const;
