@@ -60,12 +60,10 @@ void SharedLink::fill_rates(double t) const {
 }
 
 double SharedLink::next_boundary(double t) const {
-  const double dt = trace_.sample_seconds();
-  double b = (std::floor(t / dt) + 1.0) * dt;
+  double b = trace_.next_edge_after(t);
   for (const Flow& f : flows_) {
     if (f.cap != nullptr && !f.cap->empty()) {
-      const double cdt = f.cap->sample_seconds();
-      b = std::min(b, (std::floor(t / cdt) + 1.0) * cdt);
+      b = std::min(b, f.cap->next_edge_after(t));
     }
   }
   return b;
@@ -154,13 +152,9 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
       ++dead_trace_detections_;
       return n;
     }
-    // Zero-width segment (the boundary rounded onto t): the walk would spin
-    // here forever, so stop with the outcome the spin reaches — an idle
-    // peek walk trips the dead-trace cutoff.
-    if (segment_end <= t) {
-      if (peek && !moved) ++dead_trace_detections_;
-      return n;
-    }
+    // Segment edges lie strictly after t, so only a commit walk that has
+    // reached `until` gets here without moving on.
+    if (segment_end <= t) return n;
     t = segment_end;
   }
   return n;

@@ -132,8 +132,8 @@ class SharedLink {
   /// the equal share of the scaled uplink, capped per flow by its access
   /// link.
   void fill_rates(double t) const;
-  /// Next piecewise-constant boundary after `t` across the uplink trace and
-  /// every active flow's cap trace.
+  /// First piecewise-constant boundary strictly after `t` across the uplink
+  /// trace and every active flow's cap trace.
   double next_boundary(double t) const;
 
   BandwidthTrace trace_;

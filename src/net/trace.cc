@@ -99,6 +99,12 @@ double BandwidthTrace::bandwidth_at(double t) const {
   return samples_[idx];
 }
 
+double BandwidthTrace::next_edge_after(double t) const {
+  const double edge = (std::floor(t / dt_) + 1.0) * dt_;
+  return edge > t ? edge
+                  : std::nextafter(t, std::numeric_limits<double>::infinity());
+}
+
 double BandwidthTrace::transfer_time(double bytes, double t0) const {
   if (bytes <= 0.0) return 0.0;
   if (samples_.empty()) return std::numeric_limits<double>::infinity();
@@ -107,7 +113,7 @@ double BandwidthTrace::transfer_time(double bytes, double t0) const {
   // Walk sample boundaries, draining bits at the piecewise-constant rate.
   for (int guard = 0; guard < 10'000'000; ++guard) {
     const double rate_bps = bandwidth_at(t) * 1e6;
-    const double boundary = (std::floor(t / dt_) + 1.0) * dt_;
+    const double boundary = next_edge_after(t);
     const double window = boundary - t;
     if (rate_bps > 0.0) {
       const double drained = rate_bps * window;

@@ -48,6 +48,12 @@ class BandwidthTrace {
   /// Instantaneous bandwidth in Mbps at time t (periodic extension).
   double bandwidth_at(double t) const;
 
+  /// The first sample edge strictly after `t`. For a sample width that is
+  /// not a power of two, (floor(t / dt) + 1) * dt can round onto t itself
+  /// (t = 4.3 at dt 0.1); the edge is then the next double after t, so a
+  /// walk over edges always makes progress.
+  double next_edge_after(double t) const;
+
   /// True once `t` lies past the recorded capture: bandwidth_at/transfer_time
   /// silently repeat the trace there, so long simulations should surface this
   /// instead of pretending the data kept going.

@@ -34,6 +34,16 @@ TEST(TraceTest, TransferIntegratesAcrossRateChange) {
   EXPECT_NEAR(trace.transfer_time(2e6, 0.0), 1.1, 1e-9);
 }
 
+TEST(TraceTest, TransferTimeCrossesAnEdgeThatRoundsOntoTheStart) {
+  // At dt 0.1 the edge after t = 4.3 computes as (floor(4.3 / 0.1) + 1) * 0.1,
+  // which rounds to 4.3 itself; the walk must still step past it.
+  const BandwidthTrace trace(std::vector<double>(100, 80.0), 0.1);
+  ASSERT_EQ((std::floor(4.3 / 0.1) + 1.0) * 0.1, 4.3);
+  EXPECT_GT(trace.next_edge_after(4.3), 4.3);
+  // 1 MB at 80 Mbps = 0.1 s, from any start.
+  EXPECT_NEAR(trace.transfer_time(1e6, 4.3), 0.1, 1e-9);
+}
+
 TEST(TraceTest, PeriodicExtension) {
   BandwidthTrace trace({10.0, 20.0}, 1.0);
   EXPECT_DOUBLE_EQ(trace.bandwidth_at(0.5), 10.0);

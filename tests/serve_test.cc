@@ -563,6 +563,34 @@ TEST(FleetTest, ReportsUplinkTraceWraps) {
   EXPECT_TRUE(fleet.replica_uplinks[0].wrapped(result.sim_seconds));
 }
 
+TEST(FleetTest, ConstantUplinkSampledAtAnyWidthRunsTheSameFleet) {
+  // The same constant 30 Mbps uplinks sampled every 0.5, 0.1 and 0.03 s. At
+  // the two finer widths some segment edges round onto the walk's own time;
+  // a walk that stops there would strand flows and end the run early.
+  FleetResult reference;
+  for (const double dt : {0.5, 0.1, 0.03}) {
+    FleetConfig fleet;
+    fleet.clients = make_mixed_fleet(16, 0.25, 8);
+    const BandwidthTrace uplink(
+        std::vector<double>(std::size_t(std::lround(600.0 / dt)), 30.0), dt);
+    fleet.replica_uplinks = {uplink, uplink};
+    const FleetResult result = run_fleet(fleet);
+    EXPECT_TRUE(result.completed) << "dt " << dt;
+    EXPECT_EQ(result.unfinished_sessions, 0u) << "dt " << dt;
+    if (dt == 0.5) {
+      reference = result;
+      continue;
+    }
+    EXPECT_EQ(result.total_bytes, reference.total_bytes) << "dt " << dt;
+    for (std::size_t i = 0; i < result.sessions.size(); ++i) {
+      EXPECT_EQ(result.sessions[i].qoe, reference.sessions[i].qoe)
+          << "dt " << dt << " session " << i;
+    }
+    EXPECT_NEAR(result.sim_seconds, reference.sim_seconds, 1e-9)
+        << "dt " << dt;
+  }
+}
+
 TEST(FleetTest, MeasuredSrSamplesAreDeterministicAcrossPools) {
   FleetConfig fleet;
   fleet.clients = make_mixed_fleet(8, 0.5, 12, 0.01);
