@@ -5,8 +5,12 @@
 
 namespace volut {
 
-double evaluate_horizon(double ratio, const AbrContext& ctx,
-                        const QoeConfig& qoe, bool sr_enabled) {
+namespace {
+
+/// evaluate_horizon with the quality scores of `ratio` (q) and of the
+/// previous chunk (prev_q) supplied by the caller.
+double horizon_value(double ratio, double q, double prev_q,
+                     const AbrContext& ctx, const QoeConfig& qoe) {
   const double bytes = ctx.full_chunk_bytes * ratio;
   // Conservative planning: discount the throughput estimate by 10% (the
   // harmonic mean lags genuine dips). Fine-grained control benefits most —
@@ -19,9 +23,7 @@ double evaluate_horizon(double ratio, const AbrContext& ctx,
   const double sr_s = ctx.sr_seconds_per_chunk_full * ratio;
 
   double buffer = ctx.buffer_seconds;
-  double prev_q = quality_score(ctx.prev_density_ratio, qoe, sr_enabled);
-  // Every step of the horizon fetches at `ratio`, so its quality is fixed.
-  const double q = quality_score(ratio, qoe, sr_enabled);
+  // Every step of the horizon fetches at `ratio`, so q is fixed.
   double total = 0.0;
   for (std::size_t i = 0; i < ctx.horizon; ++i) {
     const double busy_s = download_s + sr_s;
@@ -34,13 +36,41 @@ double evaluate_horizon(double ratio, const AbrContext& ctx,
   return total;
 }
 
+}  // namespace
+
+double evaluate_horizon(double ratio, const AbrContext& ctx,
+                        const QoeConfig& qoe, bool sr_enabled) {
+  return horizon_value(ratio, quality_score(ratio, qoe, sr_enabled),
+                       quality_score(ctx.prev_density_ratio, qoe, sr_enabled),
+                       ctx, qoe);
+}
+
+ContinuousMpcAbr::ContinuousMpcAbr(QoeConfig qoe, double min_ratio,
+                                   int grid_steps, double switch_margin,
+                                   double max_step)
+    : qoe_(qoe), min_ratio_(min_ratio), grid_steps_(grid_steps),
+      switch_margin_(switch_margin), max_step_(max_step) {
+  for (int s = 0; s <= grid_steps_; ++s) {
+    grid_quality_.push_back(quality_score(
+        min_ratio_ + (1.0 - min_ratio_) * double(s) / double(grid_steps_),
+        qoe_, /*sr=*/true));
+  }
+}
+
 AbrDecision ContinuousMpcAbr::decide(const AbrContext& ctx) {
+  const double prev_q =
+      quality_score(ctx.prev_density_ratio, qoe_, /*sr=*/true);
+  const auto value_of = [&](double ratio) {
+    return horizon_value(ratio, quality_score(ratio, qoe_, /*sr=*/true),
+                         prev_q, ctx, qoe_);
+  };
   double best_ratio = min_ratio_;
   double best_value = -1e18;
   for (int s = 0; s <= grid_steps_; ++s) {
     const double ratio =
         min_ratio_ + (1.0 - min_ratio_) * double(s) / double(grid_steps_);
-    const double value = evaluate_horizon(ratio, ctx, qoe_, /*sr=*/true);
+    const double value =
+        horizon_value(ratio, grid_quality_[std::size_t(s)], prev_q, ctx, qoe_);
     if (value > best_value) {
       best_value = value;
       best_ratio = ratio;
@@ -50,7 +80,7 @@ AbrDecision ContinuousMpcAbr::decide(const AbrContext& ctx) {
   // beats it over the horizon.
   const double prev =
       std::clamp(ctx.prev_density_ratio, min_ratio_, 1.0);
-  const double prev_value = evaluate_horizon(prev, ctx, qoe_, /*sr=*/true);
+  const double prev_value = value_of(prev);
   if (prev_value + switch_margin_ >= best_value) best_ratio = prev;
   // Rate-limit density changes (smooth quality transitions, §5). Emergency
   // downshifts are exempt: when even the rate-limited ratio would stall the
@@ -59,7 +89,7 @@ AbrDecision ContinuousMpcAbr::decide(const AbrContext& ctx) {
     best_ratio = prev + max_step_;
   } else if (best_ratio < prev - max_step_) {
     const double limited = prev - max_step_;
-    const double v_lim = evaluate_horizon(limited, ctx, qoe_, /*sr=*/true);
+    const double v_lim = value_of(limited);
     if (v_lim + 10.0 * switch_margin_ >= best_value) best_ratio = limited;
   }
   return AbrDecision{best_ratio, 1.0 / best_ratio};

@@ -55,9 +55,7 @@ class ContinuousMpcAbr : public AbrPolicy {
   /// earns its variation-penalty advantage over discrete ABR.
   explicit ContinuousMpcAbr(QoeConfig qoe = {}, double min_ratio = 0.05,
                             int grid_steps = 200, double switch_margin = 3.0,
-                            double max_step = 0.04)
-      : qoe_(qoe), min_ratio_(min_ratio), grid_steps_(grid_steps),
-        switch_margin_(switch_margin), max_step_(max_step) {}
+                            double max_step = 0.04);
 
   AbrDecision decide(const AbrContext& ctx) override;
   const char* name() const override { return "continuous-mpc"; }
@@ -68,6 +66,9 @@ class ContinuousMpcAbr : public AbrPolicy {
   int grid_steps_;
   double switch_margin_;
   double max_step_;
+  /// quality_score of every grid ratio, filled once: the grid and the QoE
+  /// model are fixed, so decide() needs no std::pow per grid point.
+  std::vector<double> grid_quality_;
 };
 
 /// Discrete MPC (H2 / YuZu-SR): density restricted to a fixed ladder. The
