@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace volut {
@@ -103,8 +104,7 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
     // `>=`): one zero-width pass at t == until still runs the winner scan,
     // so a completion whose time rounds to exactly `until` (tiny remainder /
     // huge rate) is delivered instead of livelocking the caller's event
-    // loop. In peek mode every completion in a segment that starts after
-    // `until` lies after it too.
+    // loop.
     if (n == 0 || rate_scale_ <= 0.0 || t > until) return n;
     const double boundary = next_boundary(t);
     const double window = boundary - t;
@@ -160,11 +160,11 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
   return n;
 }
 
-double SharedLink::next_completion_time(double now, double horizon) const {
+double SharedLink::next_completion_time(double now) const {
   scratch_ = remaining_;
   double t = std::max(0.0, now);
   double drained = 0.0;
-  return walk<true>(scratch_, t, horizon, drained) < flows_.size()
+  return walk<true>(scratch_, t, kInf, drained) < flows_.size()
              ? t
              : kInf;
 }

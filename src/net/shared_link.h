@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "src/net/trace.h"
@@ -71,18 +70,10 @@ class SharedLink {
 
   /// Earliest absolute completion time among active flows assuming no
   /// arrivals before it, or +inf when idle. Exact: advance(now, t) with the
-  /// returned t completes that flow.
-  ///
-  /// `horizon` bounds the walk for callers that only need completions up to
-  /// it: whenever the unbounded result is <= horizon it is returned bit for
-  /// bit; otherwise the result is some value > horizon (+inf when the walk
-  /// stopped at a segment starting after horizon). So
-  /// min(horizon, next_completion_time(now, horizon)) is exact.
-  /// dead_trace_detections() counts only walks that reach the zero-capacity
-  /// cutoff before their horizon.
-  double next_completion_time(
-      double now,
-      double horizon = std::numeric_limits<double>::infinity()) const;
+  /// returned t completes that flow, and advance(now, u) for any u < t
+  /// completes none, so a caller can cache t until it next changes the flow
+  /// set or the rate scale.
+  double next_completion_time(double now) const;
 
   struct Completion {
     std::uint64_t id = 0;
@@ -118,9 +109,9 @@ class SharedLink {
   /// the first completion: returns that flow's index with `t` at its
   /// completion time, or flows_.size() when there is none (idle, blackout,
   /// past `until`, or in peek mode a dead trace).
-  /// Peek mode (next_completion_time, on a scratch copy) drains whole
-  /// segments and accepts the first completion it meets, even one past
-  /// `until`. Commit mode (advance, on remaining_) accepts a completion only
+  /// Peek mode (next_completion_time, on a scratch copy, `until` = +inf)
+  /// drains whole segments and accepts the first completion it meets.
+  /// Commit mode (advance, on remaining_) accepts a completion only
   /// up to min(boundary, until), drains the other flows up to it and counts
   /// the completed one's remainder; without one it drains up to `until`.
   /// `peek` is a template argument so neither mode pays for the other's

@@ -258,6 +258,11 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   for (const BandwidthTrace& uplink : config.replica_uplinks) {
     links.emplace_back(uplink);
   }
+  // Event-driven uplinks: link r was last advanced to link_clock[r], and
+  // link_due[r] caches its next completion from there. A link is walked
+  // only when that projection comes due or when the loop mutates it.
+  std::vector<double> link_clock(n_replicas, 0.0);
+  std::vector<double> link_due(n_replicas, kInf);
   EncodeQueue queue(config.shard_cache_per_replica ? n_replicas : 1,
                     config.cache_budget_bytes);
   // single-threaded: run_fleet — the timeline below is the fleet's one
@@ -315,6 +320,21 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   DueIndex due_index(clients);
 
   double now = 0.0;
+
+  /// Brings link r up to `now` before the loop mutates its flow set or rate
+  /// scale. Phase 1 already settled every completion due by now, so none
+  /// may surface here.
+  const auto sync_link = [&](std::size_t r) {
+    if (link_clock[r] == now) return;
+    if (!links[r].advance(link_clock[r], now).empty()) {
+      throw std::logic_error(
+          "run_fleet: uplink completion surfaced outside its due time");
+    }
+    link_clock[r] = now;
+  };
+  const auto refresh_due = [&](std::size_t r) {
+    link_due[r] = links[r].next_completion_time(link_clock[r]);
+  };
 
   /// Recomputes a replica's effective degradation (schedule OR breaker) and
   /// books the exposure interval on a falling edge.
@@ -528,7 +548,9 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       if (c.state == ClientState::kDownloading) {
         // The partial download is garbage to the client: discard and redo
         // the whole chunk on the new replica.
+        sync_link(r);
         const double discarded = links[r].abort_flow(c.flow_id);
+        refresh_due(r);
         result.bytes_discarded += discarded;
         log.record(now, FleetEventType::kDownloadAbort, std::uint32_t(i),
                    std::int32_t(r), discarded);
@@ -582,7 +604,9 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       }
       const double want_scale = faults.uplink_scale(r, now);
       if (want_scale != link_scale[r]) {
+        sync_link(r);
         links[r].set_rate_scale(want_scale);
+        refresh_due(r);
         log.record(now,
                    want_scale < 1.0 ? FleetEventType::kUplinkDegrade
                                     : FleetEventType::kUplinkRestore,
@@ -653,8 +677,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   for (std::size_t iter = 0; remaining > 0 && iter < max_events; ++iter) {
     // Next event: a client transition (arrival, request release, waiting-
     // room timeout), an encode completion, a fault boundary (window edge /
-    // breaker expiry), or the earliest flow completion. The uplinks come
-    // last: each walk stops once it passes the earliest event found so far.
+    // breaker expiry), or the earliest cached flow completion.
     double t_event = std::min(due_index.next_time(), queue.next_ready());
     if (faults_armed) {
       t_event = std::min(t_event, faults.next_transition_after(now));
@@ -662,16 +685,19 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         if (breaker_open[r]) t_event = std::min(t_event, breaker_until[r]);
       }
     }
-    for (const SharedLink& link : links) {
-      t_event = std::min(t_event, link.next_completion_time(now, t_event));
-    }
+    for (const double due : link_due) t_event = std::min(t_event, due);
     if (!(t_event < kInf)) break;  // stuck (e.g. an all-zero uplink trace)
-    const double t_prev = now;
     now = t_event;
 
-    // 1. Drain every uplink to the event time; settle completed chunks.
+    // 1. Drain the uplinks whose completion is due to the event time;
+    // settle completed chunks.
     for (std::size_t r = 0; r < n_replicas; ++r) {
-      for (const SharedLink::Completion& done : links[r].advance(t_prev, now)) {
+      if (link_due[r] > now) continue;
+      const std::vector<SharedLink::Completion> completions =
+          links[r].advance(link_clock[r], now);
+      link_clock[r] = now;
+      refresh_due(r);
+      for (const SharedLink::Completion& done : completions) {
         const auto i = std::size_t(done.owner);
         if (i >= n_clients || clients[i].state != ClientState::kDownloading ||
             clients[i].replica != r || clients[i].flow_id != done.id) {
@@ -767,8 +793,10 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
         }
       }
       const BandwidthTrace& downlink = config.clients[i].downlink;
+      sync_link(c.replica);
       c.flow_id = links[c.replica].start_flow(
           c.flow_bytes, downlink.empty() ? nullptr : &downlink, i);
+      refresh_due(c.replica);
       log.record(now, FleetEventType::kDownloadStart, std::uint32_t(i),
                  std::int32_t(c.replica), c.flow_bytes);
       c.state = ClientState::kDownloading;
@@ -861,6 +889,11 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
       submit_request(i, /*fresh=*/true);
     }
     due_index.flush();
+  }
+  // Drain every link to the end of the timeline, so the drain accounting of
+  // a truncated run covers all of it.
+  for (std::size_t r = 0; r < n_replicas; ++r) {
+    links[r].advance(link_clock[r], now);
   }
   result.sim_seconds = now;
   for (const ClientRuntime& c : clients) {

@@ -209,10 +209,11 @@ TEST(FleetFaultSweepTest, ArmedScheduleBitIdenticalAcrossPoolWorkerCounts) {
 }
 
 // ~128-session fleets on 4 replicas, each pinned by the FNV-1a digest of its
-// whole event timeline, its end time and the bits of its drain accounting. The constants were captured from
-// the fleet event loop that scanned every client on every iteration, before
-// the due-time index and the horizon-bounded uplink walk replaced those
-// scans; any drift in event order, timestamps or values flips a digest.
+// whole event timeline, its end time and the bits of its drain accounting.
+// The constants were re-captured once when each uplink came to be walked
+// only at its own events, which moved drain cut points and completion times
+// by ulps (bytes_completed kept its bits); any drift in event order,
+// timestamps or values flips a digest.
 FleetConfig digest_config() {
   FleetConfig fleet;
   fleet.clients = make_mixed_fleet(/*n=*/128, /*arrival_spacing=*/0.125,
@@ -253,12 +254,12 @@ TEST(FleetDigestTest, TimelinesMatchPinnedDigests) {
   };
   std::vector<Case> cases;
 
-  cases.push_back({"fault_free", digest_config(), 0x87e6a6b0b476a9aeull,
-                   32.429634459296558,
-                   {0x41d4bd8c2f28f654ull, 0x41a4bd8c2f28f5c2ull,
-                    0x41d478f2b624dd88ull, 0x41a478f2b624dd2full,
-                    0x41d1c02fc4e55fc1ull, 0x41a1c02fc4e56040ull,
-                    0x41d4811d8699999bull, 0x41a4811d8699999aull,
+  cases.push_back({"fault_free", digest_config(), 0x5f4c9044581bd1f7ull,
+                   32.429634459296473,
+                   {0x41d4bd8c2f28f615ull, 0x41a4bd8c2f28f5c2ull,
+                    0x41d478f2b624dd44ull, 0x41a478f2b624dd2full,
+                    0x41d1c02fc4e56052ull, 0x41a1c02fc4e56040ull,
+                    0x41d4811d869999aaull, 0x41a4811d8699999aull,
                     0x0000000000000000ull}});
 
   FleetConfig faulted = digest_config();
@@ -274,34 +275,34 @@ TEST(FleetDigestTest, TimelinesMatchPinnedDigests) {
   faulted.recovery.degrade_density_when_degraded = true;
   faulted.max_wait_seconds = 10.0;
   faulted.max_sessions_per_replica = 24;
-  cases.push_back({"faults_waiting_room", faulted, 0xa4621162c06183f1ull,
+  cases.push_back({"faults_waiting_room", faulted, 0x1d69282abd0f27e9ull,
                    68.273960894410664,
-                   {0x41db6656a7d8eb26ull, 0x41a5d1fb806872b0ull,
-                    0x41d6b2211ea910a3ull, 0x4197774795900aeeull,
-                    0x41d733f75e46ff19ull, 0x41a733f75e46ff51ull,
-                    0x41d01f6eb11c98ecull, 0x419ee955087d9c56ull,
-                    0x41a1359ca82f4d3eull}});
+                   {0x41db6656a7d8eac4ull, 0x41a5d1fb806872b0ull,
+                    0x41d6b2211ea90fe7ull, 0x4197774795900aeeull,
+                    0x41d733f75e46ff81ull, 0x41a733f75e46ff51ull,
+                    0x41d01f6eb11c98f1ull, 0x419ee955087d9c56ull,
+                    0x41a1359ca82f4d43ull}});
 
   FleetConfig instant = digest_config();
   instant.rtt_seconds = 0.0;
   instant.encode_seconds_full = 0.0;
-  cases.push_back({"zero_rtt_zero_encode", instant, 0x9e1be897fa387790ull,
-                   32.673576707677682,
-                   {0x41d4a7b7201687beull, 0x41a4a7b72016872cull,
-                    0x41d4ed01f8a3d716ull, 0x41a4ed01f8a3d70aull,
-                    0x41d1299a8aeb8585ull, 0x41a1299a8aeb8520ull,
-                    0x41d4b0d34ae147cbull, 0x41a4b0d34ae147aeull,
+  cases.push_back({"zero_rtt_zero_encode", instant, 0xc02e7d2125d7d2c6ull,
+                   32.67357670767769,
+                   {0x41d4a7b720168720ull, 0x41a4a7b72016872cull,
+                    0x41d4ed01f8a3d778ull, 0x41a4ed01f8a3d70aull,
+                    0x41d1299a8aeb8565ull, 0x41a1299a8aeb8520ull,
+                    0x41d4b0d34ae147d1ull, 0x41a4b0d34ae147aeull,
                     0x0000000000000000ull}});
 
   FleetConfig patient = digest_config();
   patient.max_wait_seconds = std::numeric_limits<double>::infinity();
   patient.max_sessions_per_replica = 16;
-  cases.push_back({"unbounded_wait_capped", patient, 0x92bc7987d8a44205ull,
-                   34.547557040471503,
-                   {0x41d66914d2b43919ull, 0x41a66914d2b43958ull,
-                    0x41d33dc0f39fbecdull, 0x41a33dc0f39fbe77ull,
-                    0x41d29924a5666581ull, 0x41a29924a5666664ull,
-                    0x41d39a1088e56050ull, 0x41a39a1088e56042ull,
+  cases.push_back({"unbounded_wait_capped", patient, 0xcb63732e62fcd482ull,
+                   34.547557040471496,
+                   {0x41d66914d2b43951ull, 0x41a66914d2b43958ull,
+                    0x41d33dc0f39fbee1ull, 0x41a33dc0f39fbe77ull,
+                    0x41d29924a56666b8ull, 0x41a29924a5666664ull,
+                    0x41d39a1088e55ffeull, 0x41a39a1088e56042ull,
                     0x0000000000000000ull}});
 
   for (const Case& c : cases) {
