@@ -10,8 +10,9 @@
 //      (QoE tails, stall rate, failover count/latency, session failures),
 //   6. ThreadPool scaling of the measured-SR fan-out with a bit-identity
 //      check across 1/2/4/8 workers (same discipline as bench_micro_kernels),
-//   7. simulator throughput (events/s) at 256, 1024 and 4096 sessions on a
-//      fixed 32-replica pool, with per-replica load held constant.
+//   7. simulator throughput (events/s) at 256, 1024, 4096 and 16384
+//      sessions on a fixed 32-replica pool, with per-replica load held
+//      constant.
 // Every run reports QoE p50/p95/p99, stall rate, cache hit rate, bytes
 // served, waiting-room p50/p95 wait and peak queue depth (the latter three
 // also land in the --json records). VOLUT_BENCH_FLEET_SESSIONS overrides the
@@ -297,7 +298,7 @@ int main(int argc, char** argv) {
   std::printf("%-18s %10s %9s %12s\n", "sessions", "events", "wall ms",
               "events/s");
   bench::print_rule();
-  for (std::size_t sessions : {256u, 1024u, 4096u}) {
+  for (std::size_t sessions : {256u, 1024u, 4096u, 16384u}) {
     const FleetConfig fleet = scale_config(sessions);
     Timer timer;
     const FleetResult r = run_fleet(fleet);

@@ -51,9 +51,7 @@ ContinuousMpcAbr::ContinuousMpcAbr(QoeConfig qoe, double min_ratio,
     : qoe_(qoe), min_ratio_(min_ratio), grid_steps_(grid_steps),
       switch_margin_(switch_margin), max_step_(max_step) {
   for (int s = 0; s <= grid_steps_; ++s) {
-    grid_quality_.push_back(quality_score(
-        min_ratio_ + (1.0 - min_ratio_) * double(s) / double(grid_steps_),
-        qoe_, /*sr=*/true));
+    grid_quality_.push_back(quality_score(grid_ratio(s), qoe_, /*sr=*/true));
   }
 }
 
@@ -67,8 +65,7 @@ AbrDecision ContinuousMpcAbr::decide(const AbrContext& ctx) {
   double best_ratio = min_ratio_;
   double best_value = -1e18;
   for (int s = 0; s <= grid_steps_; ++s) {
-    const double ratio =
-        min_ratio_ + (1.0 - min_ratio_) * double(s) / double(grid_steps_);
+    const double ratio = grid_ratio(s);
     const double value =
         horizon_value(ratio, grid_quality_[std::size_t(s)], prev_q, ctx, qoe_);
     if (value > best_value) {

@@ -61,6 +61,11 @@ class ContinuousMpcAbr : public AbrPolicy {
   const char* name() const override { return "continuous-mpc"; }
 
  private:
+  /// Density ratio of grid point s in [0, grid_steps].
+  double grid_ratio(int s) const {
+    return min_ratio_ + (1.0 - min_ratio_) * double(s) / double(grid_steps_);
+  }
+
   QoeConfig qoe_;
   double min_ratio_;
   int grid_steps_;
