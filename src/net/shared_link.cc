@@ -108,7 +108,7 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
     if (n == 0 || rate_scale_ <= 0.0 || t > until) return n;
     const double boundary = next_boundary(t);
     const double window = boundary - t;
-    const double segment_end = peek ? boundary : std::min(boundary, until);
+    const double segment_end = std::min(boundary, until);
     fill_rates(t);
     // Earliest completion within this segment at the current shares;
     // lowest id wins ties (flows_ is in id order, strict < keeps the first).

@@ -323,7 +323,8 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
 
   /// Brings link r up to `now` before the loop mutates its flow set or rate
   /// scale. Phase 1 already settled every completion due by now, so none
-  /// may surface here.
+  /// may surface here. A link already at `now` is left alone: a zero-byte
+  /// flow started this instant is due now and completes in the next pass.
   const auto sync_link = [&](std::size_t r) {
     if (link_clock[r] == now) return;
     if (!links[r].advance(link_clock[r], now).empty()) {
