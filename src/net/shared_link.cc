@@ -25,8 +25,6 @@ double SharedLink::abort_flow(std::uint64_t id) {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     if (flows_[i].id != id) continue;
     const double received = flows_[i].total_bytes - remaining_[i] / 8.0;
-    bytes_aborted_ += received;
-    ++flows_aborted_;
     flows_.erase(flows_.begin() + std::ptrdiff_t(i));
     remaining_.erase(remaining_.begin() + std::ptrdiff_t(i));
     return received;
@@ -70,27 +68,18 @@ double SharedLink::next_boundary(double t) const {
   return b;
 }
 
-template <bool peek>
-std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
-                             double until, double& drained) const {
+std::size_t SharedLink::walk(std::vector<double>& rem, double& t, double until,
+                             double& drained) const {
   const std::size_t n = flows_.size();
-  // Zero-capacity futility cutoff (peek only): every involved trace is
-  // periodic, so if no flow drains a single bit across a span covering a
-  // couple of full periods of each trace, capacity is effectively zero and
-  // nothing will ever complete — stop instead of grinding through
-  // kMaxSegments. Commit mode keeps walking: the span counts segments, not
-  // time, so capacity may still return before `until`. Evaluated only on
-  // idle segments, which are rare.
-  const auto dead_span = [this] {
-    std::size_t span = 2 * trace_.sample_count() + 4;
-    for (const Flow& f : flows_) {
-      if (f.cap != nullptr && !f.cap->empty()) {
-        span = std::max(span, 2 * f.cap->sample_count() + 4);
-      }
-    }
-    return span;
-  };
-  std::size_t idle_segments = 0;
+  // A dead link: no flow can ever drain a bit, because the uplink trace is
+  // all zero or every flow is capped by an all-zero trace. Anything else
+  // keeps walking, since capacity may return; only kMaxSegments stops an
+  // uplink and caps that are never non-zero at the same time.
+  const bool dead =
+      trace_.all_zero() ||
+      (n > 0 && std::all_of(flows_.begin(), flows_.end(), [](const Flow& f) {
+         return f.cap != nullptr && !f.cap->empty() && f.cap->all_zero();
+       }));
   for (int guard = 0; guard < kMaxSegments; ++guard) {
     // A flow with nothing left to send (zero-byte artifact, or drained
     // exactly dry at a window edge) completes at t before any rate math —
@@ -105,7 +94,7 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
     // so a completion whose time rounds to exactly `until` (tiny remainder /
     // huge rate) is delivered instead of livelocking the caller's event
     // loop.
-    if (n == 0 || rate_scale_ <= 0.0 || t > until) return n;
+    if (n == 0 || dead || rate_scale_ <= 0.0 || t > until) return n;
     const double boundary = next_boundary(t);
     const double window = boundary - t;
     const double segment_end = std::min(boundary, until);
@@ -125,35 +114,25 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t,
         }
       }
     }
-    if (winner < n && (peek || t_complete <= segment_end)) {
-      if (!peek) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (i == winner || rates_[i] <= 0.0) continue;
-          const double amount = rates_[i] * (t_complete - t);
-          rem[i] -= amount;
-          drained += amount;
-        }
-        drained += rem[winner];
+    if (winner < n && t_complete <= segment_end) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i == winner || rates_[i] <= 0.0) continue;
+        const double amount = rates_[i] * (t_complete - t);
+        rem[i] -= amount;
+        drained += amount;
       }
+      drained += rem[winner];
       t = t_complete;
       return winner;
     }
-    bool moved = false;
     for (std::size_t i = 0; i < n; ++i) {
       if (rates_[i] <= 0.0) continue;
       const double amount = rates_[i] * (segment_end - t);
       rem[i] -= amount;
       drained += amount;
-      moved = true;
     }
-    if (moved) {
-      idle_segments = 0;
-    } else if (peek && ++idle_segments > dead_span()) {
-      ++dead_trace_detections_;
-      return n;
-    }
-    // Segment edges lie strictly after t, so only a commit walk that has
-    // reached `until` gets here without moving on.
+    // Segment edges lie strictly after t, so only a walk that has reached
+    // `until` gets here without moving on.
     if (segment_end <= t) return n;
     t = segment_end;
   }
@@ -164,9 +143,7 @@ double SharedLink::next_completion_time(double now) const {
   scratch_ = remaining_;
   double t = std::max(0.0, now);
   double drained = 0.0;
-  return walk<true>(scratch_, t, kInf, drained) < flows_.size()
-             ? t
-             : kInf;
+  return walk(scratch_, t, kInf, drained) < flows_.size() ? t : kInf;
 }
 
 std::vector<SharedLink::Completion> SharedLink::advance(double now,
@@ -174,7 +151,7 @@ std::vector<SharedLink::Completion> SharedLink::advance(double now,
   std::vector<Completion> done;
   double t = std::max(0.0, now);
   for (;;) {
-    const std::size_t i = walk<false>(remaining_, t, until, bits_drained_);
+    const std::size_t i = walk(remaining_, t, until, bits_drained_);
     if (i == flows_.size()) break;
     bytes_completed_ += flows_[i].total_bytes;
     done.push_back({flows_[i].id, t, flows_[i].owner});

@@ -40,19 +40,6 @@ class SharedLink {
   /// must have advance()d up to that moment first. Throws
   /// std::invalid_argument on NaN or negative scales.
   void set_rate_scale(double scale);
-  double rate_scale() const { return rate_scale_; }
-
-  /// Flows killed via abort_flow and the bytes they had already received
-  /// (those bytes stay in bits_drained() but never reach bytes_completed()).
-  std::uint64_t flows_aborted() const { return flows_aborted_; }
-  double bytes_aborted() const { return bytes_aborted_; }
-
-  /// Completion walks that hit the zero-capacity futility cutoff: every
-  /// involved trace stayed dry for a couple of full periods, so nothing
-  /// would ever complete (a dead uplink, not a slow one).
-  std::uint64_t dead_trace_detections() const {
-    return dead_trace_detections_;
-  }
 
   /// Bandwidth (Mbps) a new flow admitted at `now` would start with — the
   /// equal share after joining. This is what the ABR gets to observe.
@@ -69,10 +56,10 @@ class SharedLink {
                            std::uint64_t owner = 0);
 
   /// Earliest absolute completion time among active flows assuming no
-  /// arrivals before it, or +inf when idle. Exact: advance(now, t) with the
-  /// returned t completes that flow, and advance(now, u) for any u < t
-  /// completes none, so a caller can cache t until it next changes the flow
-  /// set or the rate scale.
+  /// arrivals before it, or +inf when none can complete (idle, blackout, or
+  /// a dead link). Exact: advance(now, t) with the returned t completes that
+  /// flow, and advance(now, u) for any u < t completes none, so a caller can
+  /// cache t until it next changes the flow set or the rate scale.
   double next_completion_time(double now) const;
 
   struct Completion {
@@ -106,17 +93,13 @@ class SharedLink {
   /// The one segment walk behind both public calls. Drains `rem` (bits left
   /// per flow, aligned with flows_) from `t` segment by segment at
   /// fill_rates' rates, adding every drained bit to `drained`, and stops at
-  /// the first completion: returns that flow's index with `t` at its
-  /// completion time, or flows_.size() when there is none (idle, blackout,
-  /// past `until`, or in peek mode a dead trace).
-  /// Peek mode (next_completion_time, on a scratch copy, `until` = +inf)
-  /// drains whole segments and accepts the first completion it meets.
-  /// Commit mode (advance, on remaining_) accepts a completion only
-  /// up to min(boundary, until), drains the other flows up to it and counts
-  /// the completed one's remainder; without one it drains up to `until`.
-  /// `peek` is a template argument so neither mode pays for the other's
-  /// bookkeeping per call.
-  template <bool peek>
+  /// the first completion at or before `until`: it drains the other flows up
+  /// to that time, counts the completed flow's remainder and returns its
+  /// index with `t` at its completion time. Without one it returns
+  /// flows_.size() (idle, blackout, dead link, or past `until`).
+  /// advance runs it on remaining_; next_completion_time runs the same walk
+  /// on a scratch copy with `until` = +inf, so a peeked time is the time at
+  /// which advance completes that flow.
   std::size_t walk(std::vector<double>& rem, double& t, double until,
                    double& drained) const;
   /// Fills rates_ with every active flow's drain rate (bits/s) at time `t`:
@@ -134,14 +117,11 @@ class SharedLink {
   double rate_scale_ = 1.0;
   double bits_drained_ = 0.0;
   double bytes_completed_ = 0.0;
-  std::uint64_t flows_aborted_ = 0;
-  double bytes_aborted_ = 0.0;
   // single-threaded: the walk's per-segment rates and next_completion_time's
-  // copy of remaining_, reused across calls so neither allocates, and the
-  // peek walk's detector tally; a SharedLink is driven by one event loop.
+  // copy of remaining_, reused across calls so neither allocates; a
+  // SharedLink is driven by one event loop.
   mutable std::vector<double> rates_;
   mutable std::vector<double> scratch_;
-  mutable std::uint64_t dead_trace_detections_ = 0;
 };
 
 }  // namespace volut

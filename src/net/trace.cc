@@ -14,12 +14,11 @@ BandwidthTrace::BandwidthTrace(std::vector<double> samples_mbps,
                                double dt_seconds, std::string name)
     : samples_(std::move(samples_mbps)), dt_(dt_seconds),
       name_(std::move(name)) {
-  // Garbage rates used to flow silently into SharedLink, where an all-NaN
-  // trace only surfaced periods later as a dead-trace detection. Reject at
-  // the source instead. All-zero traces stay valid: "link is down" is a
-  // scenario (and what the dead-trace cutoff exists for), corrupt data is
-  // not. The default-constructed empty trace also stays valid — it is the
-  // documented "no cap" sentinel for per-client downlinks.
+  // Reject garbage rates here rather than let them stall a SharedLink
+  // periods later. All-zero traces stay valid: "link is down" is a scenario,
+  // and all_zero() lets SharedLink and transfer_time answer +inf at once;
+  // corrupt data is not. The default-constructed empty trace also stays
+  // valid — it is the documented "no cap" sentinel for per-client downlinks.
   if (samples_.empty()) {
     throw std::invalid_argument(
         "BandwidthTrace '" + name_ + "': needs at least one sample");
@@ -34,6 +33,7 @@ BandwidthTrace::BandwidthTrace(std::vector<double> samples_mbps,
           "BandwidthTrace '" + name_ +
           "': rates must be finite and >= 0 (got " + std::to_string(s) + ")");
     }
+    if (s > 0.0) all_zero_ = false;
   }
 }
 
@@ -107,7 +107,7 @@ double BandwidthTrace::next_edge_after(double t) const {
 
 double BandwidthTrace::transfer_time(double bytes, double t0) const {
   if (bytes <= 0.0) return 0.0;
-  if (samples_.empty()) return std::numeric_limits<double>::infinity();
+  if (all_zero_) return std::numeric_limits<double>::infinity();
   double remaining_bits = bytes * 8.0;
   double t = std::max(0.0, t0);
   // Walk sample boundaries, draining bits at the piecewise-constant rate.

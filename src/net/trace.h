@@ -44,6 +44,9 @@ class BandwidthTrace {
   double sample_seconds() const { return dt_; }
   /// Number of recorded samples (one trace period = sample_count samples).
   std::size_t sample_count() const { return samples_.size(); }
+  /// True when no sample is above zero (vacuously for the empty trace): the
+  /// link never carries a bit, however long one waits.
+  bool all_zero() const { return all_zero_; }
 
   /// Instantaneous bandwidth in Mbps at time t (periodic extension).
   double bandwidth_at(double t) const;
@@ -65,7 +68,7 @@ class BandwidthTrace {
 
   /// Seconds needed to transfer `bytes` starting at time `t0` (integrates
   /// the piecewise-constant rate). Returns +inf only if the trace is all
-  /// zero.
+  /// zero (at once, without walking).
   double transfer_time(double bytes, double t0) const;
 
   double mean_mbps() const;
@@ -75,6 +78,7 @@ class BandwidthTrace {
   std::vector<double> samples_;  // Mbps
   double dt_ = 1.0;
   std::string name_;
+  bool all_zero_ = true;
 };
 
 /// A link = trace + round-trip time. Download completion uses one RTT of

@@ -48,10 +48,4 @@ std::size_t EncodeCache::insert(const EncodeCacheKey& key, std::size_t bytes) {
   return evicted;
 }
 
-bool EncodeCache::fetch(const EncodeCacheKey& key, std::size_t bytes) {
-  if (lookup(key)) return true;
-  insert(key, bytes);
-  return false;
-}
-
 }  // namespace volut

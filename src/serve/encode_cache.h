@@ -77,17 +77,6 @@ class EncodeCache {
   std::size_t entry_count() const { return index_.size(); }
   const EncodeCacheStats& stats() const { return stats_; }
 
-  /// Serves `key` from cache if resident (counts a hit and refreshes LRU
-  /// order); otherwise counts a miss, encodes-and-inserts `bytes` (evicting
-  /// least-recently-used entries to fit), and returns false. Artifacts larger
-  /// than the whole budget are served but never admitted.
-  ///
-  /// This is the synchronous (zero-latency-encode) path; the fleet's
-  /// latency-accurate path goes through EncodeQueue, which splits the probe
-  /// (lookup at request time) from the admission (insert at encode
-  /// completion) so an artifact is never resident before it exists.
-  bool fetch(const EncodeCacheKey& key, std::size_t bytes);
-
   /// Residency probe at request time: counts a hit (refreshing LRU order) or
   /// a miss, but never inserts — on a miss the caller is expected to encode
   /// and insert() when the encode completes.

@@ -97,7 +97,8 @@ EncodeQueue::Decision EncodeQueue::request(const EncodeCacheKey& key,
   failed_.erase(key);
   ++stats_.encode_starts;
   if (encode_seconds <= 0.0 && !fault_policy_.attempt_fails) {
-    // Free encode: complete synchronously, exactly the pre-queue fetch path.
+    // Free encode: the artifact exists at once, so insert it now and serve
+    // it with no wait (a miss, then an insert, at the same instant).
     // With a fault policy armed even free encodes go through the schedule,
     // so their attempts can fail and retry like any other.
     finish_encode(key, bytes, now);

@@ -108,7 +108,11 @@ struct FaultRecoveryConfig {
 };
 
 /// Compiled fault schedule: per-replica window lists + merged transition
-/// times, built once from (config, n_replicas). Queries are O(log windows).
+/// times, built once from (config, n_replicas). Windows may overlap, so a
+/// query binary-searches the windows starting at or before t and scans back
+/// over them: a crash or degradation query stops at the first one covering
+/// t, uplink_scale visits all of them for the smallest scale. A query costs
+/// O(windows before t), not O(log windows).
 class FaultSchedule {
  public:
   /// Empty schedule (no faults; empty() == true).
