@@ -2,12 +2,14 @@
 // paper's headline numbers: per-point LUT lookup vs per-point neural
 // inference (the §4.2 claim of >99.9% refinement-latency reduction), spatial
 // queries, position encoding, float16 conversion, and the stage-2
-// interpolation rewrite (thread scaling + steady-state allocation count).
+// interpolation rewrite (thread scaling + steady-state allocation count),
+// and the continuous MPC's per-chunk decision (§5).
 //
 // Run with `--json <path>` to also emit machine-readable results (see
 // bench/common.h JsonReporter); CI uploads that file as a per-PR artifact.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <new>
 
 #include "bench/common.h"
+#include "src/abr/mpc.h"
 #include "src/core/half.h"
 #include "src/core/rng.h"
 #include "src/nn/mlp.h"
@@ -521,6 +524,62 @@ BENCHMARK(BM_FetchChunkSteadyStateAllocs)
     ->Arg(50)
     ->Arg(100)
     ->Unit(benchmark::kMillisecond);
+
+// Per-decision cost of ContinuousMpcAbr::decide on its default QoE model
+// and 201-point grid, over 256 seeded fleet-like contexts (2 MB full
+// chunks, 2-40 Mbps, any buffer and previous ratio). Before timing, each
+// decision is checked against a first-max full scan of the same grid
+// through evaluate_horizon; with switch_margin 0 and max_step 1 only the
+// argmax and the hysteresis compare shape the decision.
+void BM_ContinuousMpcDecide(benchmark::State& state) {
+  constexpr double kMinRatio = 0.05;
+  constexpr int kSteps = 200;
+  const QoeConfig qoe;
+  ContinuousMpcAbr abr(qoe, kMinRatio, kSteps, /*switch_margin=*/0.0,
+                       /*max_step=*/1.0);
+  CounterRng rng(0x3D7C);
+  const auto draw = [&rng](double lo, double hi) {
+    return lo + (hi - lo) * double(rng.next_u64() >> 11) * 0x1.0p-53;
+  };
+  std::vector<AbrContext> contexts(256);
+  for (AbrContext& ctx : contexts) {
+    ctx.throughput_mbps = draw(2.0, 40.0);
+    ctx.buffer_seconds = draw(0.0, ctx.max_buffer_seconds);
+    ctx.prev_density_ratio = draw(kMinRatio, 1.0);
+    ctx.full_chunk_bytes = 2e6;
+    ctx.sr_seconds_per_chunk_full = draw(0.0, 0.2);
+  }
+  for (const AbrContext& ctx : contexts) {
+    double best_ratio = kMinRatio;
+    double best_value = -1e18;
+    for (int s = 0; s <= kSteps; ++s) {
+      const double ratio =
+          kMinRatio + (1.0 - kMinRatio) * double(s) / double(kSteps);
+      const double value = evaluate_horizon(ratio, ctx, qoe, true);
+      if (value > best_value) {
+        best_value = value;
+        best_ratio = ratio;
+      }
+    }
+    const double prev = std::clamp(ctx.prev_density_ratio, kMinRatio, 1.0);
+    if (evaluate_horizon(prev, ctx, qoe, true) >= best_value) {
+      best_ratio = prev;
+    }
+    if (abr.decide(ctx).density_ratio != best_ratio) {
+      fail_benchmark(state, "decide() differs from the full grid scan");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    for (const AbrContext& ctx : contexts) {
+      benchmark::DoNotOptimize(abr.decide(ctx));
+    }
+  }
+  state.counters["s_per_decision"] = benchmark::Counter(
+      double(contexts.size()), benchmark::Counter::kIsIterationInvariantRate |
+                                   benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ContinuousMpcDecide)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace volut

@@ -44,7 +44,9 @@ class AbrPolicy {
 };
 
 /// VoLUT's continuous MPC (H1): fine-grained density grid in
-/// [min_ratio, 1].
+/// [min_ratio, 1]. decide() returns the grid's first-max ratio, found by a
+/// descending scan that stops once an upper bound on the horizon value
+/// proves no lower ratio can win (~2 horizon evaluations per decision).
 class ContinuousMpcAbr : public AbrPolicy {
  public:
   /// `switch_margin`: hysteresis in horizon-QoE points — the controller
@@ -71,9 +73,6 @@ class ContinuousMpcAbr : public AbrPolicy {
   int grid_steps_;
   double switch_margin_;
   double max_step_;
-  /// quality_score of every grid ratio, filled once: the grid and the QoE
-  /// model are fixed, so decide() needs no std::pow per grid point.
-  std::vector<double> grid_quality_;
 };
 
 /// Discrete MPC (H2 / YuZu-SR): density restricted to a fixed ladder. The
@@ -84,8 +83,7 @@ class DiscreteMpcAbr : public AbrPolicy {
  public:
   explicit DiscreteMpcAbr(QoeConfig qoe = {},
                           std::vector<double> ladder = default_ladder(),
-                          bool sr_enabled = true)
-      : qoe_(qoe), ladder_(std::move(ladder)), sr_enabled_(sr_enabled) {}
+                          bool sr_enabled = true);
 
   static std::vector<double> default_ladder() {
     return {1.0 / 8, 1.0 / 6, 1.0 / 4, 1.0 / 3, 1.0 / 2, 1.0};
@@ -98,6 +96,9 @@ class DiscreteMpcAbr : public AbrPolicy {
   QoeConfig qoe_;
   std::vector<double> ladder_;
   bool sr_enabled_;
+  /// quality_score of each rung, filled once: the ladder and the QoE model
+  /// are fixed, so decide() needs no std::pow per rung.
+  std::vector<double> ladder_quality_;
 };
 
 /// Rate-based baseline (no horizon optimization): picks the largest density

@@ -12,10 +12,9 @@ namespace volut {
 struct QoeConfig {
   double alpha = 1.0;   // quality weight
   double beta = 1.0;    // variation weight
-  /// Stall weight in QoE points per second. Quality lives on a 0-100 scale;
-  /// 30 points/second keeps rebuffering strongly penalized (a 1 s stall
-  /// cancels roughly a third of a perfect chunk-second plus typical quality
-  /// headroom) without collapsing every policy into pure stall avoidance.
+  /// Stall weight in QoE points per second. Quality lives on a 0-100 scale,
+  /// so at 100 points/second a 1 s stall cancels a whole perfect
+  /// chunk-second: rebuffering costs more than any quality it could buy.
   double gamma = 100.0;
   /// Multiplier on downward quality switches (drops are more noticeable).
   double drop_penalty = 1.5;
