@@ -112,7 +112,9 @@ struct FaultRecoveryConfig {
 /// query binary-searches the windows starting at or before t and scans back
 /// over them: a crash or degradation query stops at the first one covering
 /// t, uplink_scale visits all of them for the smallest scale. A query costs
-/// O(windows before t), not O(log windows).
+/// O(windows before t), not O(log windows). run_fleet asks only at edges:
+/// it caches next_transition_after and queries again when that edge (or a
+/// breaker expiry) comes due.
 class FaultSchedule {
  public:
   /// Empty schedule (no faults; empty() == true).

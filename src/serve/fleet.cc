@@ -320,6 +320,11 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   DueIndex due_index(clients);
 
   double now = 0.0;
+  // Event-driven faults: the schedule is piecewise constant between its
+  // edges, so a fault pass can change state only at an edge or an open
+  // breaker's expiry. fault_due caches the earliest of those after the last
+  // pass; a breaker trip lowers it. +inf with faults disarmed.
+  double fault_due = faults.next_transition_after(0.0);
 
   /// Brings link r up to `now` before the loop mutates its flow set or rate
   /// scale. Phase 1 already settled every completion due by now, so none
@@ -591,8 +596,11 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
 
   /// Applies every fault-state flip due at `now` by diffing the schedule
   /// against tracked state — idempotent, so boundaries landing exactly on
-  /// other events are safe. Runs right after time advances.
+  /// other events are safe — and recomputes fault_due. Runs in phase 2b of
+  /// the first iteration and whenever `now` reaches fault_due; in between,
+  /// the diff would find nothing to flip.
   const auto apply_fault_transitions = [&]() {
+    fault_due = faults.next_transition_after(now);
     for (std::size_t r = 0; r < n_replicas; ++r) {
       const bool want_down = faults.replica_down(r, now);
       if (want_down && !down[r]) {
@@ -632,6 +640,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
                    std::int32_t(r));
         refresh_degraded(r, now);
       }
+      if (breaker_open[r]) fault_due = std::min(fault_due, breaker_until[r]);
     }
   };
 
@@ -658,6 +667,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
             breaker_open[r] = 1;
             breaker_until[r] =
                 done.time + config.recovery.breaker_reset_seconds;
+            fault_due = std::min(fault_due, breaker_until[r]);
             ++result.replicas[r].breaker_trips;
             log.record(done.time, FleetEventType::kBreakerTrip, kNoSession,
                        std::int32_t(r), double(consec_encode_failures[r]));
@@ -677,15 +687,10 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
   }
   for (std::size_t iter = 0; remaining > 0 && iter < max_events; ++iter) {
     // Next event: a client transition (arrival, request release, waiting-
-    // room timeout), an encode completion, a fault boundary (window edge /
-    // breaker expiry), or the earliest cached flow completion.
-    double t_event = std::min(due_index.next_time(), queue.next_ready());
-    if (faults_armed) {
-      t_event = std::min(t_event, faults.next_transition_after(now));
-      for (std::size_t r = 0; r < n_replicas; ++r) {
-        if (breaker_open[r]) t_event = std::min(t_event, breaker_until[r]);
-      }
-    }
+    // room timeout), an encode completion, the cached fault boundary (window
+    // edge / breaker expiry), or the earliest cached flow completion.
+    double t_event =
+        std::min({due_index.next_time(), queue.next_ready(), fault_due});
     for (const double due : link_due) t_event = std::min(t_event, due);
     if (!(t_event < kInf)) break;  // stuck (e.g. an all-zero uplink trace)
     now = t_event;
@@ -762,8 +767,12 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // 2b. Fault boundaries due now: crash/restart replicas (failing their
     // sessions over), re-rate uplinks, open/close degradation windows and
     // expired breakers. Runs before releases/arrivals so a replica that
-    // crashes at t never accepts work stamped t.
-    if (faults_armed) apply_fault_transitions();
+    // crashes at t never accepts work stamped t, and after phase 2 so a
+    // breaker tripped there with a zero reset time resets in this instant.
+    // The first pass is forced: a window opening at 0 is no edge after 0.
+    if (faults_armed && (iter == 0 || now >= fault_due)) {
+      apply_fault_transitions();
+    }
 
     // 3. Requests whose RTT + encode latency elapsed become uplink flows.
     // Under faults the release re-checks the artifact: a retrying encode

@@ -1,6 +1,6 @@
 // Fault injection + failure recovery for the fleet serving layer.
 //
-// Four layers of coverage:
+// Five layers of coverage:
 //   * FaultSchedule unit tests — window queries, stochastic determinism,
 //     pure encode-failure draws, config validation;
 //   * an empty-schedule regression pin — run_fleet with the default (empty)
@@ -10,11 +10,15 @@
 //     FIFO ordering, exact-deadline admission), uplink blackout, and encode
 //     failures (retry-until-success and terminal give-up), each proving the
 //     timeline terminates and the accounting adds up;
+//   * fault-edge timing and the circuit breaker — edges at time 0, edges
+//     sharing an instant with other events, windows in a quiet gap, and
+//     breaker resets exactly breaker_reset_seconds after their trips;
 //   * event-derived accounting — the FleetResult totals read off the
 //     EventLog stay exact, in the result and the JSON dump, when the ring
 //     wraps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -365,6 +369,169 @@ TEST(FaultWaitingRoomTest, FailoverQueuesFifoBehindEarlierWaiters) {
   ASSERT_EQ(promote_order.size(), 2u);
   EXPECT_EQ(promote_order[0], 2u);
   EXPECT_EQ(promote_order[1], 0u);
+}
+
+// --------------------------------------------- fault edges and breakers
+
+/// Times of every logged `type` event on `replica`, in timeline order.
+std::vector<double> event_times(const FleetResult& r, FleetEventType type,
+                                std::int32_t replica) {
+  std::vector<double> out;
+  for (const FleetEvent& e : r.events.events()) {
+    if (e.type == type && e.replica == replica) out.push_back(e.time);
+  }
+  return out;
+}
+
+/// Timeline position of the first `type` event on `replica` (and of
+/// `session`, unless kNoSession); the log size when there is none.
+std::size_t event_index(const FleetResult& r, FleetEventType type,
+                        std::int32_t replica,
+                        std::uint32_t session = kNoSession) {
+  const std::vector<FleetEvent> events = r.events.events();
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const FleetEvent& e = events[k];
+    if (e.type == type && e.replica == replica &&
+        (session == kNoSession || e.session == session)) {
+      return k;
+    }
+  }
+  return events.size();
+}
+
+TEST(FaultBreakerTest, EachResetLandsBreakerResetSecondsAfterItsTrip) {
+  // Two consecutive failed encodes attributed to one replica trip its
+  // breaker; the breaker re-closes exactly breaker_reset_seconds later, and
+  // with a zero reset time in the very instant it tripped. Each case trips
+  // two to four times.
+  for (const double rate : {0.3, 0.5}) {
+    for (const double reset : {0.5, 0.0}) {
+      SCOPED_TRACE("encode_failure_rate=" + std::to_string(rate) +
+                   " breaker_reset_seconds=" + std::to_string(reset));
+      FleetConfig fleet = small_fleet(4, 2);
+      fleet.faults.encode_failure_rate = rate;
+      fleet.faults.seed = 7;
+      fleet.recovery.breaker_failure_threshold = 2;
+      fleet.recovery.breaker_reset_seconds = reset;
+      // The retry budget of EncodeFailuresRetryUntilSuccess: every session
+      // finishes, and no breaker is still open when the run ends.
+      fleet.recovery.encode_max_attempts = 12;
+      fleet.recovery.encode_backoff_base_seconds = 0.05;
+      fleet.recovery.encode_backoff_cap_seconds = 0.5;
+      const FleetResult r = run_fleet(fleet);
+      EXPECT_TRUE(r.completed);
+      EXPECT_EQ(r.failed_sessions, 0u);
+      ASSERT_EQ(r.events.dropped(), 0u);
+
+      std::size_t trips = 0;
+      for (std::int32_t replica = 0; replica < 2; ++replica) {
+        const std::vector<double> tripped =
+            event_times(r, FleetEventType::kBreakerTrip, replica);
+        const std::vector<double> reset_at =
+            event_times(r, FleetEventType::kBreakerReset, replica);
+        ASSERT_EQ(tripped.size(), reset_at.size()) << "replica " << replica;
+        for (std::size_t k = 0; k < tripped.size(); ++k) {
+          EXPECT_EQ(reset_at[k], tripped[k] + reset)
+              << "replica " << replica << " trip " << k;
+        }
+        EXPECT_EQ(r.replicas[std::size_t(replica)].breaker_trips,
+                  tripped.size());
+        trips += tripped.size();
+      }
+      EXPECT_GE(trips, 2u);
+      EXPECT_EQ(r.events.type_count(FleetEventType::kBreakerTrip),
+                r.events.type_count(FleetEventType::kBreakerReset));
+    }
+  }
+}
+
+TEST(FaultEdgeTest, WindowOpenAtZeroIsAppliedAtTheFirstEvent) {
+  // Replica 0 is down over [0, 0.5), but nothing happens before the first
+  // arrival at 0.25: the crash is logged there, and its exposure counts
+  // from there. The arrival routes around the down replica.
+  FleetConfig fleet = small_fleet(2, 2);
+  fleet.clients[0].arrival_seconds = 0.25;
+  fleet.clients[1].arrival_seconds = 0.5;
+  fleet.faults.crashes = {{/*replica=*/0, /*start=*/0.0, /*seconds=*/0.5}};
+  const FleetResult r = run_fleet(fleet);
+
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(event_times(r, FleetEventType::kReplicaDown, 0),
+            std::vector<double>{0.25});
+  EXPECT_EQ(event_times(r, FleetEventType::kReplicaUp, 0),
+            std::vector<double>{0.5});
+  EXPECT_EQ(r.events.events().front().type, FleetEventType::kReplicaDown);
+  EXPECT_EQ(r.replicas[0].down_seconds, 0.25);
+  EXPECT_EQ(r.replicas[0].crashes, 1u);
+  EXPECT_EQ(r.replica_of[0], 1u);
+  EXPECT_EQ(r.failovers, 0u);  // nobody was on the replica when it crashed
+}
+
+TEST(FaultEdgeTest, EdgesSharingAnInstantWithAnArrivalApplyBeforeIt) {
+  // Replica 0's crash ends at 0.75, exactly when replica 1's blackout
+  // starts and client 3 arrives. Both edges apply in replica order before
+  // the arrival, which therefore lands on the restarted replica 0.
+  FleetConfig fleet = small_fleet(4, 2);
+  fleet.faults.crashes = {{/*replica=*/0, /*start=*/0.5, /*seconds=*/0.25}};
+  fleet.faults.blackouts = {{/*replica=*/1, /*start=*/0.75, /*seconds=*/0.5}};
+  ASSERT_EQ(fleet.clients[3].arrival_seconds, 0.75);
+  const FleetResult r = run_fleet(fleet);
+
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(event_times(r, FleetEventType::kReplicaDown, 0),
+            std::vector<double>{0.5});
+  EXPECT_EQ(event_times(r, FleetEventType::kReplicaUp, 0),
+            std::vector<double>{0.75});
+  EXPECT_EQ(event_times(r, FleetEventType::kUplinkDegrade, 1),
+            std::vector<double>{0.75});
+  EXPECT_EQ(event_times(r, FleetEventType::kUplinkRestore, 1),
+            std::vector<double>{1.25});
+  EXPECT_EQ(r.replicas[0].down_seconds, 0.25);
+  EXPECT_EQ(r.replicas[1].down_seconds, 0.0);
+
+  const std::size_t up = event_index(r, FleetEventType::kReplicaUp, 0);
+  const std::size_t blackout =
+      event_index(r, FleetEventType::kUplinkDegrade, 1);
+  const std::size_t admit =
+      event_index(r, FleetEventType::kAdmit, 0, /*session=*/3);
+  EXPECT_LT(up, blackout);
+  EXPECT_LT(blackout, admit);
+  const std::vector<FleetEvent> events = r.events.events();
+  ASSERT_LT(admit, events.size());
+  EXPECT_EQ(events[admit].time, 0.75);
+  EXPECT_EQ(r.replica_of[3], 0u);
+}
+
+TEST(FaultEdgeTest, DegradationWindowBetweenTwoClientEvents) {
+  // Client 0 finishes long before client 1 arrives at 10 s; the
+  // degradation window [5, 6) opens and closes in that quiet gap, so its
+  // two edges are timeline steps of their own.
+  FleetConfig fleet = small_fleet(2, 1);
+  fleet.clients[1].arrival_seconds = 10.0;
+  fleet.faults.degradations = {{/*replica=*/0, /*start=*/5.0,
+                                /*seconds=*/1.0}};
+  const FleetResult r = run_fleet(fleet);
+
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(event_times(r, FleetEventType::kReplicaDegraded, 0),
+            std::vector<double>{5.0});
+  EXPECT_EQ(event_times(r, FleetEventType::kReplicaRecovered, 0),
+            std::vector<double>{6.0});
+  EXPECT_EQ(r.replicas[0].degraded_seconds, 1.0);
+  EXPECT_EQ(r.replicas[0].down_seconds, 0.0);
+  // The window really is between two client events: client 0's last one
+  // and client 1's arrival.
+  double before = -kInf;
+  double after = kInf;
+  for (const FleetEvent& e : r.events.events()) {
+    if (e.session == kNoSession) continue;
+    if (e.time < 5.0) before = std::max(before, e.time);
+    if (e.time >= 5.0) after = std::min(after, e.time);
+  }
+  EXPECT_GT(before, 0.0);
+  EXPECT_EQ(after, 10.0);
+  // Nothing ran on the degraded replica, so no chunk was downshifted.
+  EXPECT_EQ(r.degraded_chunks, 0u);
 }
 
 // ------------------------------------------------ event-derived accounting

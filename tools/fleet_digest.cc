@@ -2,10 +2,15 @@
 // sessions on 32 replicas; fleet-faults: 256 sessions on 8 replicas with
 // faults) for seeds 1-5 and prints one FNV-1a line per run. A change that
 // must keep fleet behaviour byte-identical prints the same ten lines as its
-// parent commit:
+// parent commit. The ctest entry fleet_digest_golden checks exactly that:
+// it compares this binary's output with tools/fleet_digest.expected.
 //
-//   ./build/fleet_digest > after.txt   # and the same at the parent
-//   diff before.txt after.txt
+// A change that moves fleet behaviour on purpose re-baselines the golden
+// from a Release build and says in its commit why the digests moved:
+//
+//   cmake --build build --target fleet_digest
+//   ./build/fleet_digest > tools/fleet_digest.expected
+//   git diff tools/fleet_digest.expected   # only the runs you meant to move
 //
 // Each digest covers the events JSON, every session's qoe, total_bytes and
 // stall_seconds, every replica's bits_drained and bytes_completed,
