@@ -12,7 +12,9 @@
 //      check across 1/2/4/8 workers (same discipline as bench_micro_kernels),
 //   7. simulator throughput (events/s) at 256, 1024, 4096 and 16384
 //      sessions on a fixed 32-replica pool, with per-replica load held
-//      constant.
+//      constant,
+//   8. simulator throughput for 1024 sessions on 8, 32, 128 and 512
+//      replicas, each uplink provisioned for its share of the load.
 // Every run reports QoE p50/p95/p99, stall rate, cache hit rate, bytes
 // served, waiting-room p50/p95 wait and peak queue depth (the latter three
 // also land in the --json records). VOLUT_BENCH_FLEET_SESSIONS overrides the
@@ -66,20 +68,18 @@ FleetConfig fleet_config(std::size_t sessions, std::size_t replicas,
   return fleet;
 }
 
-/// Session scale-up on a fixed 32-replica pool for the simulator-throughput
-/// sweep: arrivals spread over 64 s and each uplink provisioned at 55% of
-/// its share of full-density demand, so per-replica contention stays put
-/// while the session count grows.
-FleetConfig scale_config(std::size_t sessions) {
-  constexpr std::size_t kReplicas = 32;
+/// Fleet for the simulator-throughput sweeps: arrivals spread over 64 s and
+/// each uplink provisioned at 55% of its share of full-density demand, so
+/// per-replica contention stays put as sessions or replicas grow.
+FleetConfig scale_config(std::size_t sessions, std::size_t replicas) {
   FleetConfig fleet;
   fleet.clients = make_mixed_fleet(sessions, 64.0 / double(sessions),
                                    /*max_chunks=*/20, /*video_scale=*/0.01);
   const VideoServer server(fleet.clients.front().session.video);
   const double full_mbps = server.chunk_bytes(1.0, 1.0) * 8.0 / 1e6;
   const double mean_mbps =
-      full_mbps * double(sessions) / double(kReplicas) * 0.55;
-  for (std::size_t r = 0; r < kReplicas; ++r) {
+      full_mbps * double(sessions) / double(replicas) * 0.55;
+  for (std::size_t r = 0; r < replicas; ++r) {
     fleet.replica_uplinks.push_back(BandwidthTrace::lte(
         mean_mbps, mean_mbps * 0.2, 600.0, 200 + r));
   }
@@ -116,6 +116,27 @@ void record_result(bench::JsonReporter& json, const std::string& sweep,
     json.add(prefix + "/events_per_sec",
              double(r.timeline_events) / (wall_ms / 1000.0), "1/s");
   }
+}
+
+/// Runs one simulator-throughput fleet, prints its events/s row under
+/// `label` and records it as `<sweep>/<key>/...`.
+void throughput_run(bench::JsonReporter& json, const std::string& sweep,
+                    const std::string& key, const char* label,
+                    const FleetConfig& fleet) {
+  Timer timer;
+  const FleetResult r = run_fleet(fleet);
+  const double wall = timer.elapsed_ms();
+  std::printf("%-18s %10llu %9.0f %12.0f\n", label,
+              (unsigned long long)r.timeline_events, wall,
+              wall > 0.0 ? double(r.timeline_events) / (wall / 1000.0) : 0.0);
+  record_result(json, sweep, key, r, wall);
+}
+
+void print_throughput_header(const char* title, const char* column) {
+  bench::print_header(title);
+  std::printf("%-18s %10s %9s %12s\n", column, "events", "wall ms",
+              "events/s");
+  bench::print_rule();
 }
 
 void print_table_header() {
@@ -293,24 +314,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::print_header(
-      "Simulator throughput: sessions on a fixed 32-replica pool");
-  std::printf("%-18s %10s %9s %12s\n", "sessions", "events", "wall ms",
-              "events/s");
-  bench::print_rule();
+  print_throughput_header(
+      "Simulator throughput: sessions on a fixed 32-replica pool",
+      "sessions");
   for (std::size_t sessions : {256u, 1024u, 4096u, 16384u}) {
-    const FleetConfig fleet = scale_config(sessions);
-    Timer timer;
-    const FleetResult r = run_fleet(fleet);
-    const double wall = timer.elapsed_ms();
-    char label[64];
-    std::snprintf(label, sizeof(label), "%zu sessions", sessions);
-    std::printf("%-18s %10llu %9.0f %12.0f\n", label,
-                (unsigned long long)r.timeline_events, wall,
-                wall > 0.0 ? double(r.timeline_events) / (wall / 1000.0)
-                           : 0.0);
-    std::snprintf(label, sizeof(label), "%zu_sessions", sessions);
-    record_result(json, "scale32", label, r, wall);
+    const std::string count = std::to_string(sessions);
+    throughput_run(json, "scale32", count + "_sessions",
+                   (count + " sessions").c_str(), scale_config(sessions, 32));
+  }
+
+  print_throughput_header(
+      "Simulator throughput: 1024 sessions on a growing replica pool",
+      "replicas");
+  for (std::size_t replicas : {8u, 32u, 128u, 512u}) {
+    const std::string count = std::to_string(replicas);
+    throughput_run(json, "replicas1k", count,
+                   (count + " replicas").c_str(), scale_config(1024, replicas));
   }
 
   bench::print_header(

@@ -19,6 +19,7 @@ void SharedLink::set_rate_scale(double scale) {
         "SharedLink::set_rate_scale: scale must be finite and >= 0");
   }
   rate_scale_ = scale;
+  peek_.winner = kNoPeek;
 }
 
 double SharedLink::abort_flow(std::uint64_t id) {
@@ -27,6 +28,7 @@ double SharedLink::abort_flow(std::uint64_t id) {
     const double received = flows_[i].total_bytes - remaining_[i] / 8.0;
     flows_.erase(flows_.begin() + std::ptrdiff_t(i));
     remaining_.erase(remaining_.begin() + std::ptrdiff_t(i));
+    peek_.winner = kNoPeek;
     return received;
   }
   throw std::invalid_argument("SharedLink::abort_flow: unknown flow id");
@@ -41,6 +43,7 @@ std::uint64_t SharedLink::start_flow(double bytes, const BandwidthTrace* cap,
   flow.owner = owner;
   flows_.push_back(flow);
   remaining_.push_back(flow.total_bytes * 8.0);
+  peek_.winner = kNoPeek;
   return flow.id;
 }
 
@@ -141,22 +144,36 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t, double until,
 
 double SharedLink::next_completion_time(double now) const {
   scratch_ = remaining_;
-  double t = std::max(0.0, now);
-  double drained = 0.0;
-  return walk(scratch_, t, kInf, drained) < flows_.size() ? t : kInf;
+  // The peek drains onto a copy of bits_drained_, adding in the same order
+  // as advance's walk, so an adopted total is the total advance would reach.
+  peek_.start = std::max(0.0, now);
+  peek_.time = peek_.start;
+  peek_.drained = bits_drained_;
+  const std::size_t winner = walk(scratch_, peek_.time, kInf, peek_.drained);
+  peek_.winner = winner < flows_.size() ? winner : kNoPeek;
+  return peek_.winner != kNoPeek ? peek_.time : kInf;
 }
 
 std::vector<SharedLink::Completion> SharedLink::advance(double now,
                                                         double until) {
   std::vector<Completion> done;
   double t = std::max(0.0, now);
-  for (;;) {
-    const std::size_t i = walk(remaining_, t, until, bits_drained_);
-    if (i == flows_.size()) break;
+  // A kept peek from this start that completes by `until` is the walk below.
+  std::size_t i = peek_.winner;
+  if (i != kNoPeek && peek_.start == t && peek_.time <= until) {
+    remaining_.swap(scratch_);
+    bits_drained_ = peek_.drained;
+    t = peek_.time;
+  } else {
+    i = walk(remaining_, t, until, bits_drained_);
+  }
+  peek_.winner = kNoPeek;
+  while (i < flows_.size()) {
     bytes_completed_ += flows_[i].total_bytes;
     done.push_back({flows_[i].id, t, flows_[i].owner});
     flows_.erase(flows_.begin() + std::ptrdiff_t(i));
     remaining_.erase(remaining_.begin() + std::ptrdiff_t(i));
+    i = walk(remaining_, t, until, bits_drained_);
   }
   return done;
 }

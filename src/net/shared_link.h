@@ -59,7 +59,9 @@ class SharedLink {
   /// arrivals before it, or +inf when none can complete (idle, blackout, or
   /// a dead link). Exact: advance(now, t) with the returned t completes that
   /// flow, and advance(now, u) for any u < t completes none, so a caller can
-  /// cache t until it next changes the flow set or the rate scale.
+  /// cache t until it next changes the flow set or the rate scale. The walk
+  /// that found t is kept, and the next advance(now, u >= t) adopts it
+  /// instead of walking the same segments again.
   double next_completion_time(double now) const;
 
   struct Completion {
@@ -73,7 +75,10 @@ class SharedLink {
   /// (time, id) order; simultaneous completions resolve by lowest id, so the
   /// schedule is deterministic. Flows with zero remaining bytes complete
   /// immediately at max(now, 0) regardless of link capacity (even
-  /// advance(now, now) delivers them).
+  /// advance(now, now) delivers them). Right after next_completion_time(now)
+  /// returned t <= until, the first completion is the peeked one: advance
+  /// takes the peek's drained state and completes that flow at t, then walks
+  /// on from there. The result is bit-identical to walking from `now`.
   std::vector<Completion> advance(double now, double until);
 
   /// Kills an active flow (replica crash: the partial download is garbage to
@@ -99,7 +104,9 @@ class SharedLink {
   /// flows_.size() (idle, blackout, dead link, or past `until`).
   /// advance runs it on remaining_; next_completion_time runs the same walk
   /// on a scratch copy with `until` = +inf, so a peeked time is the time at
-  /// which advance completes that flow.
+  /// which advance completes that flow: with `until` >= that time, every
+  /// segment before it ends where the peek's did and the last one picks
+  /// the same winner.
   std::size_t walk(std::vector<double>& rem, double& t, double until,
                    double& drained) const;
   /// Fills rates_ with every active flow's drain rate (bits/s) at time `t`:
@@ -122,6 +129,18 @@ class SharedLink {
   // SharedLink is driven by one event loop.
   mutable std::vector<double> rates_;
   mutable std::vector<double> scratch_;
+  /// The last peek's walk, valid until the flow set, the rate scale or
+  /// remaining_ changes: it started at `start` and left scratch_ with flow
+  /// `winner` completing at `time` and bits_drained_ grown to `drained`.
+  /// winner == kNoPeek when there is nothing to adopt.
+  static constexpr std::size_t kNoPeek = std::size_t(-1);
+  struct Peek {
+    double start = 0.0;
+    double time = 0.0;
+    double drained = 0.0;
+    std::size_t winner = kNoPeek;
+  };
+  mutable Peek peek_;
 };
 
 }  // namespace volut

@@ -160,6 +160,53 @@ class DueIndex {
   bool sorted_ = true;
 };
 
+/// Due-time index over the replica uplinks: a tournament tree whose leaf r
+/// holds link r's projected next completion and whose inner nodes hold the
+/// minimum of their children. Leaves are padded to a power of two with
+/// +inf. A refresh costs O(log R), the next-event term reads the root, and
+/// collecting the links due at `now` visits only subtrees that hold one.
+class LinkDueTree {
+ public:
+  explicit LinkDueTree(std::size_t replicas) {
+    while (leaves_ < replicas) leaves_ *= 2;
+    tree_.assign(2 * leaves_, kInf);
+  }
+
+  /// Earliest projected completion over every link, +inf when none.
+  double next_time() const { return tree_[1]; }
+
+  /// Files link r's new projection: its leaf and the leaf's ancestors.
+  void set(std::size_t r, double due) {
+    std::size_t k = leaves_ + r;
+    tree_[k] = due;
+    for (k /= 2; k >= 1; k /= 2) {
+      tree_[k] = std::min(tree_[2 * k], tree_[2 * k + 1]);
+    }
+  }
+
+  /// Fills `out` with every replica whose projection is <= now, in
+  /// ascending replica index (a left-first descent).
+  void collect(double now, std::vector<std::size_t>& out) const {
+    out.clear();
+    descend(1, now, out);
+  }
+
+ private:
+  void descend(std::size_t k, double now,
+               std::vector<std::size_t>& out) const {
+    if (tree_[k] > now) return;
+    if (k >= leaves_) {
+      out.push_back(k - leaves_);
+      return;
+    }
+    descend(2 * k, now, out);
+    descend(2 * k + 1, now, out);
+  }
+
+  std::size_t leaves_ = 1;
+  std::vector<double> tree_;
+};
+
 struct SrWorkItem {
   std::size_t client = 0;
   std::size_t chunk = 0;
@@ -259,10 +306,12 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     links.emplace_back(uplink);
   }
   // Event-driven uplinks: link r was last advanced to link_clock[r], and
-  // link_due[r] caches its next completion from there. A link is walked
-  // only when that projection comes due or when the loop mutates it.
+  // link_due's leaf r caches its next completion from there. A link is
+  // walked only when that projection comes due or when the loop mutates it.
   std::vector<double> link_clock(n_replicas, 0.0);
-  std::vector<double> link_due(n_replicas, kInf);
+  LinkDueTree link_due(n_replicas);
+  std::vector<std::size_t> due_links;  // phase 1's links due now, reused
+  due_links.reserve(n_replicas);
   EncodeQueue queue(config.shard_cache_per_replica ? n_replicas : 1,
                     config.cache_budget_bytes);
   // single-threaded: run_fleet — the timeline below is the fleet's one
@@ -339,7 +388,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     link_clock[r] = now;
   };
   const auto refresh_due = [&](std::size_t r) {
-    link_due[r] = links[r].next_completion_time(link_clock[r]);
+    link_due.set(r, links[r].next_completion_time(link_clock[r]));
   };
 
   /// Recomputes a replica's effective degradation (schedule OR breaker) and
@@ -689,16 +738,18 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // Next event: a client transition (arrival, request release, waiting-
     // room timeout), an encode completion, the cached fault boundary (window
     // edge / breaker expiry), or the earliest cached flow completion.
-    double t_event =
-        std::min({due_index.next_time(), queue.next_ready(), fault_due});
-    for (const double due : link_due) t_event = std::min(t_event, due);
+    const double t_event =
+        std::min({due_index.next_time(), queue.next_ready(), fault_due,
+                  link_due.next_time()});
     if (!(t_event < kInf)) break;  // stuck (e.g. an all-zero uplink trace)
     now = t_event;
 
     // 1. Drain the uplinks whose completion is due to the event time;
-    // settle completed chunks.
-    for (std::size_t r = 0; r < n_replicas; ++r) {
-      if (link_due[r] > now) continue;
+    // settle completed chunks. Settling link r re-files only its own leaf,
+    // so collecting the due links first visits the same links in the same
+    // ascending order as a scan would.
+    link_due.collect(now, due_links);
+    for (const std::size_t r : due_links) {
       const std::vector<SharedLink::Completion> completions =
           links[r].advance(link_clock[r], now);
       link_clock[r] = now;

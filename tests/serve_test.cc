@@ -3,6 +3,7 @@
 // room + reject-at-cap), single-session parity and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -690,6 +691,46 @@ TEST(FleetTest, ReplicaUplinkReplaysStandalone) {
   }
 }
 
+TEST(FleetTest, SimultaneousUplinkCompletionsSettleInReplicaOrder) {
+  // One viewer per replica, all arriving together with the same video on
+  // identical stable uplinks: each chunk's coalesced encode releases every
+  // download at one instant, so all of them finish at the same time, and
+  // they must settle in ascending replica order. Pools: a power of two, an
+  // odd size, and more replicas than viewers (idle links stay at +inf).
+  struct Shape {
+    std::size_t replicas;
+    std::size_t sessions;
+  };
+  for (const Shape shape : {Shape{2, 2}, Shape{5, 5}, Shape{6, 3}}) {
+    SessionConfig session = small_session(SystemKind::kRaw);
+    session.max_chunks = 6;
+    FleetConfig fleet;
+    fleet.clients.assign(shape.sessions, {session, 0.0, {}, nullptr});
+    fleet.replica_uplinks.assign(shape.replicas,
+                                 BandwidthTrace::stable(40.0, 600.0));
+    fleet.max_sessions_per_replica = 1;
+    fleet.rtt_seconds = 0.020;
+    fleet.encode_seconds_full = 0.040;
+    const FleetResult result = run_fleet(fleet);
+    ASSERT_TRUE(result.completed);
+    ASSERT_EQ(result.events.dropped(), 0u);
+    std::vector<FleetEvent> finishes;
+    for (const FleetEvent& e : result.events.events()) {
+      if (e.type == FleetEventType::kDownloadFinish) finishes.push_back(e);
+    }
+    ASSERT_GE(finishes.size(), shape.sessions * 6);
+    ASSERT_EQ(finishes.size() % shape.sessions, 0u);
+    for (std::size_t k = 0; k < finishes.size(); ++k) {
+      const FleetEvent& first = finishes[k - k % shape.sessions];
+      EXPECT_EQ(finishes[k].time, first.time)
+          << shape.replicas << " replicas, finish " << k;
+      EXPECT_EQ(finishes[k].replica, std::int32_t(k % shape.sessions))
+          << shape.replicas << " replicas, finish " << k;
+      EXPECT_EQ(finishes[k].session, std::uint32_t(k % shape.sessions));
+    }
+  }
+}
+
 TEST(FleetTest, LateVivoArrivalSamplesMotionFromSessionStart) {
   // Two identical ViVo viewers, one arriving 7 s late, each alone on an
   // identical stable replica: their viewport planning must see the same
@@ -830,6 +871,101 @@ TEST(SharedLinkTest, AdvanceCompletesExactlyAtThePeekedTime) {
   }
   // Most sets drain through several completions each.
   EXPECT_GT(steps, 4000u);
+}
+
+TEST(SharedLinkTest, AdvanceAfterPeekMatchesAdvanceWithoutPeek) {
+  // advance adopts the walk of the peek before it. Twin links get the same
+  // calls, except that `peeked` also peeks before every step; their
+  // completions and drain totals must match bit for bit. Between a peek
+  // and the advance, the steps mix in everything that must discard the
+  // kept walk: a flow start, an abort, a rate-scale flip, an advance short
+  // of the peeked time, and a peek from another start.
+  const std::vector<BandwidthTrace> uplinks = {
+      BandwidthTrace::lte(40.0, 10.0, 60.0, 7),
+      BandwidthTrace::stable(25.0, 60.0),
+      BandwidthTrace({0.0, 6.0, 0.0, 0.0, 12.0}, 0.5)};
+  const std::vector<BandwidthTrace> caps = {
+      BandwidthTrace::lte(8.0, 3.0, 20.0, 11),
+      BandwidthTrace(std::vector<double>(100, 20.0), 0.01)};
+  const double scales[] = {1.0, 0.5, 0.0, 2.0};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  CounterRng rng(0xAD097u);
+  std::size_t completions = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const BandwidthTrace& uplink = uplinks[rng.next(uplinks.size())];
+    SharedLink plain(uplink);
+    SharedLink peeked(uplink);
+    std::vector<std::uint64_t> live;
+    const auto start = [&]() {
+      const double bytes =
+          rng.next(10) == 0 ? 0.0 : 1e4 + double(rng.uniform()) * 2e6;
+      const BandwidthTrace* cap =
+          rng.next(3) == 0 ? &caps[rng.next(caps.size())] : nullptr;
+      live.push_back(plain.start_flow(bytes, cap));
+      EXPECT_EQ(peeked.start_flow(bytes, cap), live.back());
+    };
+    const auto advance = [&](double now, double until) {
+      const auto want = plain.advance(now, until);
+      const auto got = peeked.advance(now, until);
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(got[k].id, want[k].id) << "trial " << trial;
+        EXPECT_EQ(bits(got[k].time), bits(want[k].time)) << "trial " << trial;
+        std::erase(live, want[k].id);
+      }
+      completions += want.size();
+      EXPECT_EQ(bits(peeked.bits_drained()), bits(plain.bits_drained()))
+          << "trial " << trial;
+    };
+    for (std::uint64_t f = 1 + rng.next(4); f > 0; --f) start();
+    double now = 0.0;
+    for (int step = 0; step < 24; ++step) {
+      const double t = peeked.next_completion_time(now);
+      const double until = std::isfinite(t) ? t : now + 1.0;
+      switch (rng.next(8)) {
+        case 0:
+          start();
+          break;
+        case 1:
+          if (!live.empty()) {
+            const std::uint64_t id = live[rng.next(live.size())];
+            EXPECT_EQ(bits(peeked.abort_flow(id)), bits(plain.abort_flow(id)));
+            std::erase(live, id);
+          }
+          break;
+        case 2: {
+          const double scale = scales[rng.next(4)];
+          plain.set_rate_scale(scale);
+          peeked.set_rate_scale(scale);
+          break;
+        }
+        case 3: {  // stop short of the peeked time, then go on to it
+          const double mid = now + (until - now) * double(rng.uniform());
+          advance(now, mid);
+          now = mid;
+          break;
+        }
+        case 4: {  // re-peek from a later start, advance from `now`
+          const double later = peeked.next_completion_time(now + 0.125);
+          advance(now, std::isfinite(later) ? later : until);
+          now = std::max(now, std::isfinite(later) ? later : until);
+          continue;
+        }
+        default:
+          break;
+      }
+      advance(now, until);
+      now = std::max(now, until);
+    }
+    for (const std::uint64_t id : live) {
+      EXPECT_EQ(bits(peeked.abort_flow(id)), bits(plain.abort_flow(id)))
+          << "trial " << trial;
+    }
+    EXPECT_EQ(bits(peeked.bits_drained()), bits(plain.bits_drained()));
+    EXPECT_EQ(bits(peeked.bytes_completed()), bits(plain.bytes_completed()));
+  }
+  // The peeks must have had completions to adopt.
+  EXPECT_GT(completions, 1000u);
 }
 
 TEST(FleetTest, DeadUplinkFlagsTruncatedRun) {
