@@ -11,6 +11,18 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // Bounds segment walks the same way BandwidthTrace::transfer_time does.
 constexpr int kMaxSegments = 10'000'000;
+
+// Drains `span` seconds at `rates` from every flow but `skip`, adding each
+// flow's amount to `drained` in index order.
+void drain(std::vector<double>& rem, const std::vector<double>& rates,
+           double span, double& drained, std::size_t skip) {
+  for (std::size_t i = 0; i < rem.size(); ++i) {
+    if (i == skip || rates[i] <= 0.0) continue;
+    const double amount = rates[i] * span;
+    rem[i] -= amount;
+    drained += amount;
+  }
+}
 }  // namespace
 
 void SharedLink::set_rate_scale(double scale) {
@@ -19,7 +31,7 @@ void SharedLink::set_rate_scale(double scale) {
         "SharedLink::set_rate_scale: scale must be finite and >= 0");
   }
   rate_scale_ = scale;
-  peek_.winner = kNoPeek;
+  peek_.valid = false;
 }
 
 double SharedLink::abort_flow(std::uint64_t id) {
@@ -28,7 +40,7 @@ double SharedLink::abort_flow(std::uint64_t id) {
     const double received = flows_[i].total_bytes - remaining_[i] / 8.0;
     flows_.erase(flows_.begin() + std::ptrdiff_t(i));
     remaining_.erase(remaining_.begin() + std::ptrdiff_t(i));
-    peek_.winner = kNoPeek;
+    peek_.valid = false;
     return received;
   }
   throw std::invalid_argument("SharedLink::abort_flow: unknown flow id");
@@ -43,7 +55,7 @@ std::uint64_t SharedLink::start_flow(double bytes, const BandwidthTrace* cap,
   flow.owner = owner;
   flows_.push_back(flow);
   remaining_.push_back(flow.total_bytes * 8.0);
-  peek_.winner = kNoPeek;
+  peek_.valid = false;
   return flow.id;
 }
 
@@ -72,7 +84,8 @@ double SharedLink::next_boundary(double t) const {
 }
 
 std::size_t SharedLink::walk(std::vector<double>& rem, double& t, double until,
-                             double& drained) const {
+                             double& drained, bool keep_first) const {
+  ++walks_;
   const std::size_t n = flows_.size();
   // A dead link: no flow can ever drain a bit, because the uplink trace is
   // all zero or every flow is capped by an all-zero trace. Anything else
@@ -102,6 +115,10 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t, double until,
     const double window = boundary - t;
     const double segment_end = std::min(boundary, until);
     fill_rates(t);
+    if (keep_first && guard == 0) {
+      peek_.boundary = boundary;
+      peek_.rates = rates_;
+    }
     // Earliest completion within this segment at the current shares;
     // lowest id wins ties (flows_ is in id order, strict < keeps the first).
     std::size_t winner = n;
@@ -118,22 +135,12 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t, double until,
       }
     }
     if (winner < n && t_complete <= segment_end) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i == winner || rates_[i] <= 0.0) continue;
-        const double amount = rates_[i] * (t_complete - t);
-        rem[i] -= amount;
-        drained += amount;
-      }
+      drain(rem, rates_, t_complete - t, drained, winner);
       drained += rem[winner];
       t = t_complete;
       return winner;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rates_[i] <= 0.0) continue;
-      const double amount = rates_[i] * (segment_end - t);
-      rem[i] -= amount;
-      drained += amount;
-    }
+    drain(rem, rates_, segment_end - t, drained, n);
     // Segment edges lie strictly after t, so only a walk that has reached
     // `until` gets here without moving on.
     if (segment_end <= t) return n;
@@ -142,40 +149,84 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t, double until,
   return n;
 }
 
+std::size_t SharedLink::resume(double until) {
+  // walk's first segment from the peek's start, whose end is `until`; no
+  // flow completes inside it, since the peek completes none by `until`.
+  drain(remaining_, peek_.rates, until - peek_.start, bits_drained_,
+        flows_.size());
+  // walk then makes a zero-width pass at `until`, with rates and edges read
+  // there; a few ulps short of the kept boundary they may be the next
+  // cell's. That pass completes flow i only if rem[i] <= 0 or
+  // until + rem[i] / rate <= until, and no rate exceeds the uplink's equal
+  // share at `until`, so while every flow fails that test at the share the
+  // pass changes nothing. Otherwise it runs.
+  const double share = rate_scale_ * trace_.bandwidth_at(until) * 1e6 /
+                       double(flows_.size());
+  for (const double rem : remaining_) {
+    if (rem <= 0.0 || until + rem / share <= until) {
+      double t = until;
+      return walk(remaining_, t, until, bits_drained_);
+    }
+  }
+  return flows_.size();
+}
+
 double SharedLink::next_completion_time(double now) const {
+  const double start = std::max(0.0, now);
+  if (peek_.valid && peek_.start == start) return peek_.time;
   scratch_ = remaining_;
   // The peek drains onto a copy of bits_drained_, adding in the same order
   // as advance's walk, so an adopted total is the total advance would reach.
-  peek_.start = std::max(0.0, now);
-  peek_.time = peek_.start;
+  peek_.start = start;
+  peek_.time = start;
   peek_.drained = bits_drained_;
-  const std::size_t winner = walk(scratch_, peek_.time, kInf, peek_.drained);
-  peek_.winner = winner < flows_.size() ? winner : kNoPeek;
-  return peek_.winner != kNoPeek ? peek_.time : kInf;
+  peek_.boundary = start;
+  peek_.winner = walk(scratch_, peek_.time, kInf, peek_.drained,
+                      /*keep_first=*/true);
+  if (peek_.winner == flows_.size()) peek_.time = kInf;
+  peek_.valid = true;
+  return peek_.time;
 }
 
-std::vector<SharedLink::Completion> SharedLink::advance(double now,
-                                                        double until) {
-  std::vector<Completion> done;
+std::size_t SharedLink::adopt(double& t) {
+  remaining_.swap(scratch_);
+  bits_drained_ = peek_.drained;
+  t = peek_.time;
+  peek_.valid = false;
+  return peek_.winner;
+}
+
+const std::vector<SharedLink::Completion>& SharedLink::advance(double now,
+                                                               double until) {
+  done_.clear();
   double t = std::max(0.0, now);
-  // A kept peek from this start that completes by `until` is the walk below.
-  std::size_t i = peek_.winner;
-  if (i != kNoPeek && peek_.start == t && peek_.time <= until) {
-    remaining_.swap(scratch_);
-    bits_drained_ = peek_.drained;
-    t = peek_.time;
+  const bool kept = peek_.valid && peek_.start == t;
+  std::size_t i = flows_.size();
+  if (kept && peek_.winner < flows_.size() && peek_.time <= until) {
+    i = adopt(t);
+  } else if (kept && t <= until && until < peek_.boundary) {
+    i = resume(until);
+    t = until;
   } else {
     i = walk(remaining_, t, until, bits_drained_);
   }
-  peek_.winner = kNoPeek;
+  peek_.valid = false;
   while (i < flows_.size()) {
     bytes_completed_ += flows_[i].total_bytes;
-    done.push_back({flows_[i].id, t, flows_[i].owner});
+    done_.push_back({flows_[i].id, t, flows_[i].owner});
     flows_.erase(flows_.begin() + std::ptrdiff_t(i));
     remaining_.erase(remaining_.begin() + std::ptrdiff_t(i));
-    i = walk(remaining_, t, until, bits_drained_);
+    if (t != until) {
+      i = walk(remaining_, t, until, bits_drained_);
+      continue;
+    }
+    // At `until` the walk would make one zero-width pass. A peek from here
+    // makes the same pass first, so it completes a flow at `until` exactly
+    // when that pass would, and is otherwise the caller's next projection.
+    if (next_completion_time(t) > until) break;
+    i = adopt(t);
   }
-  return done;
+  return done_;
 }
 
 }  // namespace volut

@@ -59,9 +59,10 @@ class SharedLink {
   /// arrivals before it, or +inf when none can complete (idle, blackout, or
   /// a dead link). Exact: advance(now, t) with the returned t completes that
   /// flow, and advance(now, u) for any u < t completes none, so a caller can
-  /// cache t until it next changes the flow set or the rate scale. The walk
-  /// that found t is kept, and the next advance(now, u >= t) adopts it
-  /// instead of walking the same segments again.
+  /// cache t until it next changes the flow set or the rate scale.
+  /// The walk that found t is kept as the link's projection until
+  /// start_flow, abort_flow, set_rate_scale or advance changes what it
+  /// walked; asking again from the same `now` returns it without walking.
   double next_completion_time(double now) const;
 
   struct Completion {
@@ -75,17 +76,31 @@ class SharedLink {
   /// (time, id) order; simultaneous completions resolve by lowest id, so the
   /// schedule is deterministic. Flows with zero remaining bytes complete
   /// immediately at max(now, 0) regardless of link capacity (even
-  /// advance(now, now) delivers them). Right after next_completion_time(now)
-  /// returned t <= until, the first completion is the peeked one: advance
-  /// takes the peek's drained state and completes that flow at t, then walks
-  /// on from there. The result is bit-identical to walking from `now`.
-  std::vector<Completion> advance(double now, double until);
+  /// advance(now, now) delivers them). The returned buffer is reused: it is
+  /// valid until the next advance.
+  ///
+  /// A projection kept from `now` spares the walk, with a result that is
+  /// bit-identical to walking from `now`:
+  ///   - when it completes by `until`, advance takes its drained state and
+  ///     completes that flow at the peeked time, then walks on from there;
+  ///   - when it completes later and `until` lies inside its first rate
+  ///     segment, advance drains every flow at that segment's kept rates
+  ///     (a mid-projection sync), then runs the walk's pass at `until`
+  ///     only when some flow may round to done there.
+  /// After a completion at exactly `until`, advance peeks from `until`: it
+  /// completes each flow that projection finishes at `until`, and otherwise
+  /// keeps the projection for the caller's next_completion_time(until).
+  const std::vector<Completion>& advance(double now, double until);
 
   /// Kills an active flow (replica crash: the partial download is garbage to
   /// the client). Returns the bytes the flow had already received — the
   /// discarded transfer the caller accounts as waste. Throws
   /// std::invalid_argument if no active flow has this id.
   double abort_flow(std::uint64_t id);
+
+  /// Segment walks run so far (peeks and advances): a deterministic work
+  /// count, the same on any host.
+  std::uint64_t walks() const { return walks_; }
 
  private:
   struct Flow {
@@ -106,9 +121,19 @@ class SharedLink {
   /// on a scratch copy with `until` = +inf, so a peeked time is the time at
   /// which advance completes that flow: with `until` >= that time, every
   /// segment before it ends where the peek's did and the last one picks
-  /// the same winner.
+  /// the same winner. A peek (`keep_first`) also keeps its first rate
+  /// segment's end and rates in peek_.
   std::size_t walk(std::vector<double>& rem, double& t, double until,
-                   double& drained) const;
+                   double& drained, bool keep_first = false) const;
+  /// advance's mid-projection sync: drains remaining_ from the kept peek's
+  /// start to `until`, which lies inside its first rate segment, at that
+  /// segment's rates, then runs the walk's pass at `until` unless no flow
+  /// can complete there. Returns what walk(remaining_, start, until, ...)
+  /// returns, with `until` as the completion time.
+  std::size_t resume(double until);
+  /// Takes the kept peek's drained state and returns its winner, with `t`
+  /// at its completion time.
+  std::size_t adopt(double& t);
   /// Fills rates_ with every active flow's drain rate (bits/s) at time `t`:
   /// the equal share of the scaled uplink, capped per flow by its access
   /// link.
@@ -124,21 +149,27 @@ class SharedLink {
   double rate_scale_ = 1.0;
   double bits_drained_ = 0.0;
   double bytes_completed_ = 0.0;
-  // single-threaded: the walk's per-segment rates and next_completion_time's
-  // copy of remaining_, reused across calls so neither allocates; a
-  // SharedLink is driven by one event loop.
+  std::vector<Completion> done_;  // advance's result, reused
+  // single-threaded: the walk's per-segment rates, next_completion_time's
+  // copy of remaining_ and the walk count, reused across calls so nothing
+  // allocates; a SharedLink is driven by one event loop.
   mutable std::vector<double> rates_;
   mutable std::vector<double> scratch_;
-  /// The last peek's walk, valid until the flow set, the rate scale or
-  /// remaining_ changes: it started at `start` and left scratch_ with flow
-  /// `winner` completing at `time` and bits_drained_ grown to `drained`.
-  /// winner == kNoPeek when there is nothing to adopt.
-  static constexpr std::size_t kNoPeek = std::size_t(-1);
+  mutable std::uint64_t walks_ = 0;
+  /// The kept projection: a peek's walk from `start`, valid until the flow
+  /// set, the rate scale or remaining_ changes. It left scratch_ with flow
+  /// `winner` completing at `time` (flows_.size() and +inf when none does)
+  /// and bits_drained_ grown to `drained`. Its first rate segment ran from
+  /// `start` to `boundary` at `rates` (boundary == start when the walk
+  /// stopped before computing rates).
   struct Peek {
+    bool valid = false;
     double start = 0.0;
     double time = 0.0;
     double drained = 0.0;
-    std::size_t winner = kNoPeek;
+    std::size_t winner = 0;
+    double boundary = 0.0;
+    std::vector<double> rates;
   };
   mutable Peek peek_;
 };

@@ -14,6 +14,7 @@
 // output of run_fleet, like FleetResult rollups), not optional telemetry.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -96,8 +97,12 @@ struct FleetEvent {
 /// record of those facts.
 class EventLog {
  public:
+  /// Reserves the ring up front, up to kRingReserve events (2 MB); a larger
+  /// ring grows only as far as a run fills it, so a 2^22-event ring does
+  /// not claim 128 MB that a short run never touches.
   explicit EventLog(std::size_t capacity = 0) : capacity_(capacity) {
     counts_.fill(0);
+    ring_.reserve(std::min(capacity_, kRingReserve));
   }
 
   void record(double time, FleetEventType type,
@@ -137,6 +142,8 @@ class EventLog {
 
  private:
   std::string json_for(const std::vector<FleetEvent>& events) const;
+
+  static constexpr std::size_t kRingReserve = std::size_t(1) << 16;
 
   std::size_t capacity_ = 0;
   std::uint64_t recorded_ = 0;

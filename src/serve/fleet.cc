@@ -377,8 +377,10 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
 
   /// Brings link r up to `now` before the loop mutates its flow set or rate
   /// scale. Phase 1 already settled every completion due by now, so none
-  /// may surface here. A link already at `now` is left alone: a zero-byte
-  /// flow started this instant is due now and completes in the next pass.
+  /// may surface here. Inside the first rate segment of the projection
+  /// refresh_due kept, the link resumes from it instead of walking. A link
+  /// already at `now` is left alone: a zero-byte flow started this instant
+  /// is due now and completes in the next pass.
   const auto sync_link = [&](std::size_t r) {
     if (link_clock[r] == now) return;
     if (!links[r].advance(link_clock[r], now).empty()) {
@@ -750,7 +752,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     // ascending order as a scan would.
     link_due.collect(now, due_links);
     for (const std::size_t r : due_links) {
-      const std::vector<SharedLink::Completion> completions =
+      const std::vector<SharedLink::Completion>& completions =
           links[r].advance(link_clock[r], now);
       link_clock[r] = now;
       refresh_due(r);
@@ -1010,6 +1012,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     ReplicaStats& stats = result.replicas[r];
     stats.bytes_completed = links[r].bytes_completed();
     stats.bits_drained = links[r].bits_drained();
+    stats.link_walks = links[r].walks();
     stats.uplink_trace_wraps = links[r].trace().wrap_count(now);
   }
 

@@ -140,6 +140,9 @@ struct ReplicaStats {
   /// Times the uplink trace silently repeated during the run; nonzero means
   /// the simulation outlived the capture (BandwidthTrace::wrap_count).
   std::uint64_t uplink_trace_wraps = 0;
+  /// Segment walks the uplink ran (SharedLink::walks): a deterministic work
+  /// count, exact on any host.
+  std::uint64_t link_walks = 0;
   /// Fault exposure: crash windows entered, total seconds down, total
   /// seconds degraded (scheduled windows and circuit-breaker trips), and
   /// breaker trips. All zero when the fault schedule is empty.

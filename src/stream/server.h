@@ -9,6 +9,7 @@
 // the actual SR pipeline.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "src/codec/codec.h"
@@ -16,6 +17,29 @@
 #include "src/data/synthetic_video.h"
 
 namespace volut {
+
+/// Chunk arithmetic of a video. It depends on the VideoSpec alone, so the
+/// session simulator prices chunks without holding a VideoServer.
+inline std::size_t frames_per_chunk(const VideoSpec& spec,
+                                    double chunk_seconds) {
+  return std::max<std::size_t>(1,
+                               std::size_t(spec.fps * chunk_seconds + 0.5));
+}
+
+inline std::size_t chunk_count(const VideoSpec& spec, double chunk_seconds) {
+  const std::size_t fpc = frames_per_chunk(spec, chunk_seconds);
+  return (spec.total_frames() + fpc - 1) / fpc;
+}
+
+/// Wire bytes of one chunk encoded at `density_ratio` of full density.
+inline double chunk_bytes(const VideoSpec& spec, double density_ratio,
+                          double chunk_seconds) {
+  const double points =
+      double(spec.points_per_frame) * std::clamp(density_ratio, 0.0, 1.0);
+  return double(frames_per_chunk(spec, chunk_seconds)) * points *
+             double(kBytesPerPoint) +
+         64.0;  // header
+}
 
 class VideoServer {
  public:
@@ -25,22 +49,16 @@ class VideoServer {
   const VideoSpec& spec() const { return video_.spec(); }
 
   std::size_t frames_per_chunk(double chunk_seconds) const {
-    return std::max<std::size_t>(
-        1, std::size_t(spec().fps * chunk_seconds + 0.5));
+    return volut::frames_per_chunk(spec(), chunk_seconds);
   }
 
   std::size_t chunk_count(double chunk_seconds) const {
-    const std::size_t fpc = frames_per_chunk(chunk_seconds);
-    return (spec().total_frames() + fpc - 1) / fpc;
+    return volut::chunk_count(spec(), chunk_seconds);
   }
 
   /// Wire bytes of one chunk encoded at `density_ratio` of full density.
   double chunk_bytes(double density_ratio, double chunk_seconds) const {
-    const double points =
-        double(spec().points_per_frame) * std::clamp(density_ratio, 0.0, 1.0);
-    return double(frames_per_chunk(chunk_seconds)) * points *
-               double(kBytesPerPoint) +
-           64.0;  // header
+    return volut::chunk_bytes(spec(), density_ratio, chunk_seconds);
   }
 
   /// Full-density bitrate in Mbps (the paper's "720 Mbps for 200K points"

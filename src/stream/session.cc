@@ -25,11 +25,12 @@ double SessionResult::normalized_qoe() const {
 SessionEngine::SessionEngine(const SessionConfig& config,
                              const MotionTrace* motion, double session_start)
     : config_(config), motion_(motion), session_start_(session_start),
-      server_(config.video), estimator_(5) {
+      estimator_(5) {
   result_.system = system_name(config_.kind);
-  n_chunks_ = std::min<std::size_t>(config_.max_chunks,
-                                    server_.chunk_count(config_.chunk_seconds));
-  full_bytes_ = server_.chunk_bytes(1.0, config_.chunk_seconds);
+  n_chunks_ = std::min<std::size_t>(
+      config_.max_chunks, chunk_count(config_.video, config_.chunk_seconds));
+  full_bytes_ = chunk_bytes(config_.video, 1.0, config_.chunk_seconds);
+  result_.chunks.reserve(n_chunks_);
 
   switch (config_.kind) {
     case SystemKind::kVolutContinuous:

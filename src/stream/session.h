@@ -179,7 +179,6 @@ class SessionEngine {
   SessionConfig config_;
   const MotionTrace* motion_;
   double session_start_ = 0.0;
-  VideoServer server_;
   std::unique_ptr<AbrPolicy> abr_;
   ThroughputEstimator estimator_;
   PointCloud vivo_reference_;

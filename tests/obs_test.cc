@@ -211,6 +211,43 @@ TEST(EventLogTest, EqualityComparesCountsAndRetainedEvents) {
   EXPECT_FALSE(a == b);
 }
 
+TEST(EventLogTest, WrapCursorMatchesModulo) {
+  // Once full, the ring overwrites its oldest slot. A reference ring that
+  // writes event k to slot k % capacity and reads from slot
+  // recorded % capacity must agree with events() exactly full, one past
+  // full and after several wraps, and operator== must see the retained
+  // events but not the dropped ones.
+  constexpr std::size_t kCapacity = 5;
+  const auto event_at = [](std::size_t k, double value) {
+    return FleetEvent{double(k), FleetEventType::kChunkRequest,
+                      std::uint32_t(k % 3), 0, value};
+  };
+  const auto record = [](EventLog& log, const FleetEvent& e) {
+    log.record(e.time, e.type, e.session, e.replica, e.value);
+  };
+  for (const std::size_t n : {kCapacity, kCapacity + 1, 4 * kCapacity + 2}) {
+    EventLog log(kCapacity);
+    EventLog dropped_differs(kCapacity);
+    EventLog retained_differs(kCapacity);
+    std::vector<FleetEvent> ring(kCapacity);
+    for (std::size_t k = 0; k < n; ++k) {
+      const FleetEvent e = event_at(k, double(k));
+      record(log, e);
+      ring[k % kCapacity] = e;
+      record(dropped_differs, k == 0 && n > kCapacity ? event_at(k, -1.0) : e);
+      record(retained_differs, k + 1 == n ? event_at(k, -1.0) : e);
+    }
+    std::vector<FleetEvent> want;
+    for (std::size_t k = 0; k < kCapacity; ++k) {
+      want.push_back(ring[(n + k) % kCapacity]);
+    }
+    EXPECT_EQ(log.events(), want) << n << " recorded";
+    EXPECT_EQ(log.dropped(), n - kCapacity);
+    EXPECT_TRUE(log == dropped_differs) << n << " recorded";
+    EXPECT_FALSE(log == retained_differs) << n << " recorded";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fleet timeline determinism
 // ---------------------------------------------------------------------------

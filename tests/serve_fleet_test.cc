@@ -340,5 +340,20 @@ TEST(FleetDigestTest, TimelinesMatchPinnedDigests) {
   }
 }
 
+TEST(FleetWorkTest, LinkWalksPinnedAndBoundedPerFlow) {
+  // Link walks are a deterministic work count: the same on any host, so
+  // pinned exactly. A flow costs about two walks: the projection after it
+  // starts and the one after it completes; a sync to a flow start or fault
+  // edge inside a projection's first rate segment resumes without one.
+  const FleetResult r = run_fleet(digest_config());
+  ASSERT_TRUE(r.completed);
+  std::uint64_t walks = 0;
+  for (const ReplicaStats& replica : r.replicas) walks += replica.link_walks;
+  const std::uint64_t flows =
+      r.events.type_count(FleetEventType::kDownloadStart);
+  EXPECT_EQ(walks, 3263u);
+  EXPECT_LE(double(walks), 2.5 * double(flows));
+}
+
 }  // namespace
 }  // namespace volut

@@ -968,6 +968,263 @@ TEST(SharedLinkTest, AdvanceAfterPeekMatchesAdvanceWithoutPeek) {
   EXPECT_GT(completions, 1000u);
 }
 
+TEST(SharedLinkTest, SyncResumeMatchesPlainWalk) {
+  // run_fleet syncs a link to `now` mid-projection before it starts, aborts
+  // or re-rates a flow; inside the kept projection's first rate segment the
+  // link drains at that segment's rates instead of walking. Twin links get
+  // the same calls, except that `peeked` peeks before every step and
+  // `plain` never does. Most steps sync both to an instant short of the
+  // projection: one that crosses 0, 1 or several uplink segment edges, or
+  // one a few ulps before the projected completion. The rest mutate the
+  // link at the peeked instant itself, as run_fleet does on a link it
+  // already synced. Completions, drain totals and abort returns must match
+  // bit for bit.
+  const std::vector<BandwidthTrace> uplinks = {
+      BandwidthTrace::lte(40.0, 10.0, 60.0, 7),
+      BandwidthTrace::stable(25.0, 60.0),
+      BandwidthTrace({0.0, 6.0, 0.0, 0.0, 12.0}, 0.5)};
+  // On the uplinks' 0.5 s grid, and one much finer.
+  const std::vector<BandwidthTrace> caps = {
+      BandwidthTrace::lte(8.0, 3.0, 20.0, 11),
+      BandwidthTrace(std::vector<double>(100, 20.0), 0.01)};
+  const double scales[] = {1.0, 0.5, 0.0, 2.0};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::size_t resumed = 0;
+  std::size_t walked = 0;
+  std::size_t rounded = 0;
+  std::size_t completions = 0;
+  // Runs one sync on both twins and checks them against each other.
+  const auto sync = [&](SharedLink& plain, SharedLink& peeked, double now,
+                        double until, int trial) {
+    const auto want = plain.advance(now, until);
+    const auto got = peeked.advance(now, until);
+    EXPECT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t k = 0; k < std::min(got.size(), want.size()); ++k) {
+      EXPECT_EQ(got[k].id, want[k].id) << "trial " << trial;
+      EXPECT_EQ(bits(got[k].time), bits(want[k].time)) << "trial " << trial;
+    }
+    completions += want.size();
+    EXPECT_EQ(bits(peeked.bits_drained()), bits(plain.bits_drained()))
+        << "trial " << trial;
+    return want;
+  };
+
+  CounterRng rng(0x5E5C0u);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const BandwidthTrace& uplink = uplinks[rng.next(uplinks.size())];
+    SharedLink plain(uplink);
+    SharedLink peeked(uplink);
+    std::vector<std::uint64_t> live;
+    const auto start = [&]() {
+      const double bytes =
+          rng.next(10) == 0 ? 0.0 : 1e4 + double(rng.uniform()) * 2e6;
+      const BandwidthTrace* cap = nullptr;
+      if (rng.next(4) == 0) cap = &caps[rng.next(8) == 0 ? 1 : 0];
+      live.push_back(plain.start_flow(bytes, cap));
+      EXPECT_EQ(peeked.start_flow(bytes, cap), live.back());
+    };
+    const auto advance = [&](double now, double until) {
+      for (const SharedLink::Completion& done :
+           sync(plain, peeked, now, until, trial)) {
+        std::erase(live, done.id);
+      }
+    };
+    for (std::uint64_t f = 1 + rng.next(4); f > 0; --f) start();
+    double now = rng.next(2) == 0 ? 0.0 : double(rng.uniform()) * 5.0;
+    if (now > 0.0) advance(0.0, now);
+    for (int step = 0; step < 24; ++step) {
+      const double t = peeked.next_completion_time(now);
+      if (rng.next(4) != 0) {
+        double at = now;
+        if (rng.next(4) == 0 && std::isfinite(t)) {
+          at = t;
+          for (std::uint64_t k = 1 + rng.next(3); k > 0; --k) {
+            at = std::nextafter(at, 0.0);
+          }
+        } else {
+          const std::uint64_t kind = rng.next(3);
+          for (std::uint64_t e = kind < 2 ? kind : 2 + rng.next(4); e > 0;
+               --e) {
+            at = uplink.next_edge_after(at);
+          }
+          at += (uplink.next_edge_after(at) - at) * double(rng.uniform());
+        }
+        if (at >= t) at = now + (t - now) * double(rng.uniform());
+        at = std::max(at, now);
+        const std::uint64_t walks = peeked.walks();
+        const std::size_t before = live.size();
+        advance(now, at);
+        if (at < t && live.size() < before) ++rounded;
+        ++(peeked.walks() == walks ? resumed : walked);
+        now = at;
+      }
+      switch (live.size() < 2 ? 0 : rng.next(4)) {
+        case 0:
+          start();
+          break;
+        case 1: {
+          const std::uint64_t id = live[rng.next(live.size())];
+          EXPECT_EQ(bits(peeked.abort_flow(id)), bits(plain.abort_flow(id)))
+              << "trial " << trial;
+          std::erase(live, id);
+          break;
+        }
+        case 2: {
+          const double scale = scales[rng.next(4)];
+          plain.set_rate_scale(scale);
+          peeked.set_rate_scale(scale);
+          break;
+        }
+        default: {  // a projection from a later instant, then a sync to it
+          const double later = now + 0.25 * double(rng.uniform());
+          peeked.next_completion_time(later);
+          advance(now, later);
+          now = later;
+          break;
+        }
+      }
+      const double next = peeked.next_completion_time(now);
+      const double until = std::isfinite(next) ? next : now + 1.0;
+      advance(now, until);
+      now = until;
+    }
+    for (const std::uint64_t id : live) {
+      EXPECT_EQ(bits(peeked.abort_flow(id)), bits(plain.abort_flow(id)))
+          << "trial " << trial;
+    }
+    EXPECT_EQ(bits(peeked.bits_drained()), bits(plain.bits_drained()));
+    EXPECT_EQ(bits(peeked.bytes_completed()), bits(plain.bytes_completed()));
+  }
+
+  // One flow on a 25 Mbps link from `start`, synced one ulp before its
+  // projected completion inside the first segment. Depending on how the
+  // drain rounds, the flow is left with a remainder at or below zero, or
+  // with one so small that its completion time rounds to the sync instant;
+  // either way it completes at the sync, on both twins. Both cases occur
+  // in this sweep, and so do remainders strictly below zero, which walk
+  // completes without adding them to the drain total.
+  for (const double start : {0.0, 0.25, 0.3, 2.25}) {
+    for (int k = 0; k < 1400; ++k) {
+      const double bytes = 1e4 + double(k) * 1537.0;
+      SharedLink plain(BandwidthTrace::stable(25.0, 60.0));
+      SharedLink peeked(BandwidthTrace::stable(25.0, 60.0));
+      plain.start_flow(bytes);
+      peeked.start_flow(bytes);
+      const double t = peeked.next_completion_time(start);
+      const double at = std::nextafter(t, 0.0);
+      const std::uint64_t walks = peeked.walks();
+      if (!sync(plain, peeked, start, at, k).empty()) {
+        ++rounded;
+        continue;
+      }
+      // Inside the first segment, the sync that completes nothing resumes.
+      if (t < std::floor(start) + 1.0) {
+        EXPECT_EQ(peeked.walks(), walks) << bytes;
+        ++resumed;
+      }
+      sync(plain, peeked, at, t, k);
+      EXPECT_EQ(bits(peeked.bits_drained()), bits(plain.bits_drained()));
+    }
+  }
+
+  // Syncs one to four ulps short of an edge of a 0.01 s cap that is off in
+  // every other cell, before and after the uplink and the cap wrap. The
+  // walk's pass at `until` reads the rates there, and a double just short
+  // of an edge can index the next cell (it is off) while floor(until / dt)
+  // still puts the edge after it; the sweep includes every start in the
+  // cap's first period whose edge is such a one. The flow is sized to
+  // finish within a few hundred ulps of the edge, so some syncs leave it a
+  // remainder that rounds to done at the sync.
+  std::vector<double> on_off(100, 20.0);
+  for (std::size_t k = 1; k < on_off.size(); k += 2) on_off[k] = 0.0;
+  const BandwidthTrace blink(on_off, 0.01);
+  std::vector<double> starts = {0.005, 0.965, 61.245, 125.505};
+  for (int j = 0; j < 100; j += 2) {
+    const double start = (j + 0.5) * 0.01;
+    const double edge = blink.next_edge_after(start);
+    if (blink.bandwidth_at(std::nextafter(edge, 0.0)) == 0.0) {
+      starts.push_back(start);
+    }
+  }
+  ASSERT_GT(starts.size(), 4u);
+  std::size_t edge_resumed = 0;
+  for (const double start : starts) {
+    const double edge = blink.next_edge_after(start);
+    double bytes = 20e6 * (edge - start) / 8.0;
+    for (int k = 0; k < 200; ++k) bytes = std::nextafter(bytes, 0.0);
+    for (int k = 0; k < 400; ++k) {
+      bytes = std::nextafter(bytes, 1e300);
+      for (int ulps = 1; ulps <= 4; ++ulps) {
+        SharedLink plain(BandwidthTrace::stable(25.0, 60.0));
+        SharedLink peeked(BandwidthTrace::stable(25.0, 60.0));
+        plain.start_flow(bytes, &blink);
+        peeked.start_flow(bytes, &blink);
+        const double t = peeked.next_completion_time(start);
+        double at = std::min(t, edge);
+        for (int u = 0; u < ulps; ++u) at = std::nextafter(at, 0.0);
+        const std::uint64_t walks = peeked.walks();
+        if (!sync(plain, peeked, start, at, k).empty()) ++rounded;
+        if (peeked.walks() == walks) ++edge_resumed;
+        const double next = peeked.next_completion_time(at);
+        sync(plain, peeked, at, next, k);
+        EXPECT_EQ(bits(peeked.bytes_completed()),
+                  bits(plain.bytes_completed()));
+      }
+    }
+  }
+  EXPECT_GT(edge_resumed, 4000u);
+
+  // Every sync kind must have run: resumed inside the first segment, walked
+  // across an edge, and completed a flow that rounded to done at the sync.
+  EXPECT_GT(resumed, 2000u);
+  EXPECT_GT(walked, 1000u);
+  EXPECT_GT(rounded, 20u);
+  EXPECT_GT(completions, 2000u);
+}
+
+TEST(SharedLinkTest, SimultaneousCompletionAfterAdoptedPeek) {
+  // 12 Mbps over three flows is 4 Mbit/s each, so the two 4 Mbit flows both
+  // finish at exactly t = 1 and the 8 Mbit one at 1 + 4/12. advance(0, 1)
+  // adopts the peek, completes flow 1, and finds flow 2 due at the same
+  // instant with a peek from 1 rather than a second walk. The peek after
+  // that is the projection for the survivor, kept for the caller: asking
+  // for it walks no more.
+  SharedLink link(BandwidthTrace::stable(12.0));
+  SharedLink plain(BandwidthTrace::stable(12.0));
+  for (SharedLink* l : {&link, &plain}) {
+    l->start_flow(5e5);
+    l->start_flow(5e5);
+    l->start_flow(1e6);
+  }
+  const double t = link.next_completion_time(0.0);
+  EXPECT_EQ(t, 1.0);
+  const std::vector<SharedLink::Completion> done = link.advance(0.0, t);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].id, 1u);
+  EXPECT_EQ(done[1].id, 2u);
+  EXPECT_EQ(done[0].time, t);
+  EXPECT_EQ(done[1].time, t);
+  const std::uint64_t walks = link.walks();
+  const double next = link.next_completion_time(t);
+  EXPECT_EQ(link.walks(), walks);
+  EXPECT_DOUBLE_EQ(next, 1.0 + 4.0 / 12.0);
+
+  const std::vector<SharedLink::Completion> want = plain.advance(0.0, t);
+  ASSERT_EQ(want.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(done[k].id, want[k].id);
+    EXPECT_EQ(done[k].time, want[k].time);
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(link.bits_drained()),
+            std::bit_cast<std::uint64_t>(plain.bits_drained()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(next),
+            std::bit_cast<std::uint64_t>(plain.next_completion_time(t)));
+  const auto last = link.advance(t, next);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].id, 3u);
+  EXPECT_EQ(link.active_flows(), 0u);
+}
+
 TEST(FleetTest, DeadUplinkFlagsTruncatedRun) {
   FleetConfig fleet;
   SessionConfig session = small_session(SystemKind::kRaw);
