@@ -1,9 +1,12 @@
 #include "src/codec/npy.h"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace volut {
 
@@ -49,8 +52,11 @@ std::string header_field(const std::string& header, const std::string& key) {
   if (kpos == std::string::npos) {
     throw std::runtime_error("npy: header missing key " + key);
   }
-  std::size_t colon = header.find(':', kpos);
-  std::size_t begin = header.find_first_not_of(" ", colon + 1);
+  const std::size_t colon = header.find(':', kpos);
+  const std::size_t begin = header.find_first_not_of(" ", colon + 1);
+  if (colon == std::string::npos || begin == std::string::npos) {
+    throw std::runtime_error("npy: header key " + key + " has no value");
+  }
   std::size_t end;
   if (header[begin] == '\'') {
     end = header.find('\'', begin + 1);
@@ -62,6 +68,46 @@ std::string header_field(const std::string& header, const std::string& key) {
   }
   end = header.find_first_of(",}", begin);
   return header.substr(begin, end - begin);
+}
+
+/// One entry of the shape tuple, e.g. " 4" in "(3, 4)". Blank entries (the
+/// trailing comma of a 1-tuple) return false; anything but a decimal that
+/// fits std::size_t throws.
+bool parse_dim(std::string_view token, std::size_t& dim) {
+  const std::size_t first = token.find_first_not_of(' ');
+  if (first == std::string_view::npos) return false;
+  token.remove_prefix(first);
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), dim);
+  if (ec != std::errc() ||
+      token.find_first_not_of(' ', std::size_t(end - token.data())) !=
+          std::string_view::npos) {
+    throw std::runtime_error("npy: bad shape entry '" + std::string(token) +
+                             "'");
+  }
+  return true;
+}
+
+/// a * b, throwing instead of wrapping.
+std::size_t checked_mul(std::size_t a, std::size_t b) {
+  if (b != 0 && a > std::numeric_limits<std::size_t>::max() / b) {
+    throw std::runtime_error("npy: array size overflows");
+  }
+  return a * b;
+}
+
+/// Bytes between the read position of `is` and its end, so no length field
+/// can make the reader allocate more than the stream holds.
+std::size_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (!is || here == std::istream::pos_type(-1) ||
+      end == std::istream::pos_type(-1)) {
+    throw std::runtime_error("npy: stream is not seekable");
+  }
+  return std::size_t(end - here);
 }
 
 }  // namespace
@@ -103,6 +149,9 @@ NpyArray npy_load(std::istream& is) {
     is.read(reinterpret_cast<char*>(&len32), 4);
     header_len = len32;
   }
+  if (!is || header_len > bytes_left(is)) {
+    throw std::runtime_error("npy: truncated header");
+  }
   std::string header(header_len, '\0');
   is.read(header.data(), static_cast<std::streamsize>(header_len));
   if (!is) throw std::runtime_error("npy: truncated header");
@@ -116,15 +165,21 @@ NpyArray npy_load(std::istream& is) {
   std::size_t pos = 1;  // skip '('
   while (pos < shape.size()) {
     const std::size_t end = shape.find_first_of(",)", pos);
-    const std::string tok = shape.substr(pos, end - pos);
-    if (tok.find_first_of("0123456789") != std::string::npos) {
-      array.shape.push_back(std::stoull(tok));
+    std::size_t dim = 0;
+    if (parse_dim(std::string_view(shape).substr(pos, end - pos), dim)) {
+      array.shape.push_back(dim);
     }
     if (end == std::string::npos || shape[end] == ')') break;
     pos = end + 1;
   }
 
-  const std::size_t bytes = array.element_count() * dtype_size(array.dtype);
+  // element_count() would wrap on a forged shape, so multiply checked here.
+  const std::size_t item = dtype_size(array.dtype);
+  std::size_t bytes = array.shape.empty() ? 0 : item;
+  for (const std::size_t dim : array.shape) bytes = checked_mul(bytes, dim);
+  if (bytes > bytes_left(is)) {
+    throw std::runtime_error("npy: truncated payload");
+  }
   array.data.resize(bytes);
   is.read(reinterpret_cast<char*>(array.data.data()),
           static_cast<std::streamsize>(bytes));

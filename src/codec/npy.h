@@ -35,7 +35,9 @@ void npy_save(std::ostream& os, const NpyArray& array);
 void npy_save_file(const std::string& path, const NpyArray& array);
 
 /// Parses an NPY v1.0/2.0 stream. Throws std::runtime_error on malformed
-/// input or unsupported dtype (only little-endian scalar dtypes pass).
+/// input or unsupported dtype (only little-endian scalar dtypes pass). `is`
+/// must be seekable: header and payload lengths are checked against the
+/// bytes left in it before anything is allocated.
 NpyArray npy_load(std::istream& is);
 NpyArray npy_load_file(const std::string& path);
 

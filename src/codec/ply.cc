@@ -1,5 +1,7 @@
 #include "src/codec/ply.h"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -31,7 +33,10 @@ PointCloud load_ply(const std::string& path) {
   bool header_done = false;
   while (std::getline(is, line)) {
     if (line.rfind("element vertex", 0) == 0) {
-      vertex_count = std::stoull(line.substr(15));
+      std::istringstream count(line.substr(14));
+      if (!(count >> vertex_count)) {
+        throw std::runtime_error("load_ply: bad vertex count: " + line);
+      }
     } else if (line.rfind("format", 0) == 0 &&
                line.find("ascii") == std::string::npos) {
       throw std::runtime_error("load_ply: only ascii PLY supported");
@@ -42,8 +47,14 @@ PointCloud load_ply(const std::string& path) {
   }
   if (!header_done) throw std::runtime_error("load_ply: missing end_header");
 
+  // A forged count must not reserve more than the file can hold: each
+  // vertex line takes at least "0 0 0\n".
+  std::error_code error;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path, error);
   PointCloud cloud;
-  cloud.reserve(vertex_count);
+  if (!error) {
+    cloud.reserve(std::min<std::uintmax_t>(vertex_count, file_bytes / 6));
+  }
   for (std::size_t i = 0; i < vertex_count; ++i) {
     if (!std::getline(is, line)) {
       throw std::runtime_error("load_ply: truncated vertex list");

@@ -21,14 +21,4 @@ double visible_fraction(const PointCloud& cloud, const Frustum& frustum) {
   return double(visible) / double(cloud.size());
 }
 
-PointCloud frustum_cull(const PointCloud& cloud, const Frustum& frustum) {
-  PointCloud out;
-  for (std::size_t i = 0; i < cloud.size(); ++i) {
-    if (frustum.contains(cloud.position(i))) {
-      out.push_back(cloud.position(i), cloud.color(i));
-    }
-  }
-  return out;
-}
-
 }  // namespace volut

@@ -26,7 +26,4 @@ struct Frustum {
 /// Fraction of cloud points inside the frustum (0 for an empty cloud).
 double visible_fraction(const PointCloud& cloud, const Frustum& frustum);
 
-/// Returns only the points inside the frustum.
-PointCloud frustum_cull(const PointCloud& cloud, const Frustum& frustum);
-
 }  // namespace volut

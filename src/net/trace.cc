@@ -77,15 +77,6 @@ BandwidthTrace BandwidthTrace::lte(double mean_mbps, double std_mbps,
                         "lte-" + std::to_string(int(mean_mbps)) + "mbps");
 }
 
-std::vector<BandwidthTrace> BandwidthTrace::paper_suite(std::uint64_t seed) {
-  return {
-      stable(50.0),  stable(75.0),  stable(100.0),
-      lte(32.5, 13.5, 600.0, seed + 1),   // low-bandwidth LTE (§7.1)
-      lte(80.0, 20.0, 600.0, seed + 2),   // mid LTE
-      lte(176.5, 26.8, 600.0, seed + 3),  // high LTE
-  };
-}
-
 std::uint64_t BandwidthTrace::wrap_count(double t) const {
   if (samples_.empty() || t < duration()) return 0;
   return static_cast<std::uint64_t>(std::floor(t / duration()));

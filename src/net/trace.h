@@ -33,10 +33,6 @@ class BandwidthTrace {
   static BandwidthTrace lte(double mean_mbps, double std_mbps,
                             double duration_s, std::uint64_t seed);
 
-  /// The paper's trace suite: one low-bandwidth LTE (32.5 Mbps avg) plus
-  /// mid/high LTE traces and the three stable wired rates.
-  static std::vector<BandwidthTrace> paper_suite(std::uint64_t seed = 17);
-
   const std::string& name() const { return name_; }
   bool empty() const { return samples_.empty(); }
   double duration() const { return double(samples_.size()) * dt_; }

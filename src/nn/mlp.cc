@@ -2,32 +2,9 @@
 
 #include <cassert>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace volut::nn {
-
-namespace {
-
-void write_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-std::uint64_t read_u64(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-void write_floats(std::ostream& os, const float* p, std::size_t n) {
-  os.write(reinterpret_cast<const char*>(p),
-           static_cast<std::streamsize>(n * sizeof(float)));
-}
-void read_floats(std::istream& is, float* p, std::size_t n) {
-  is.read(reinterpret_cast<char*>(p),
-          static_cast<std::streamsize>(n * sizeof(float)));
-}
-
-}  // namespace
 
 LinearLayer::LinearLayer(std::size_t in, std::size_t out, bool relu_, Rng& rng)
     : w(out, in),
@@ -137,34 +114,6 @@ std::size_t Mlp::parameter_count() const {
     n += layer.w.size() + layer.b.size();
   }
   return n;
-}
-
-void Mlp::save(std::ostream& os) const {
-  write_u64(os, layers_.size());
-  for (const LinearLayer& layer : layers_) {
-    write_u64(os, layer.out_features());
-    write_u64(os, layer.in_features());
-    write_u64(os, layer.relu ? 1 : 0);
-    write_floats(os, layer.w.data(), layer.w.size());
-    write_floats(os, layer.b.data(), layer.b.size());
-  }
-}
-
-Mlp Mlp::load(std::istream& is) {
-  Mlp mlp;
-  const std::uint64_t n_layers = read_u64(is);
-  Rng dummy(0);
-  for (std::uint64_t i = 0; i < n_layers; ++i) {
-    const std::size_t out = read_u64(is);
-    const std::size_t in = read_u64(is);
-    const bool relu = read_u64(is) != 0;
-    LinearLayer layer(in, out, relu, dummy);
-    read_floats(is, layer.w.data(), layer.w.size());
-    read_floats(is, layer.b.data(), layer.b.size());
-    mlp.layers_.push_back(std::move(layer));
-  }
-  if (!is) throw std::runtime_error("Mlp::load: truncated stream");
-  return mlp;
 }
 
 AdamOptimizer::AdamOptimizer(Mlp& mlp, float lr, float beta1, float beta2,

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "src/core/rng.h"
@@ -59,13 +58,7 @@ class Mlp {
   std::vector<LinearLayer>& layers() { return layers_; }
   const std::vector<LinearLayer>& layers() const { return layers_; }
 
-  /// Binary serialization (architecture + weights).
-  void save(std::ostream& os) const;
-  static Mlp load(std::istream& is);
-
  private:
-  Mlp() = default;
-
   std::vector<LinearLayer> layers_;
   std::vector<Matrix> inputs_;       // cached layer inputs (training)
   std::vector<Matrix> pre_act_;      // cached pre-activation outputs

@@ -266,31 +266,4 @@ Neighbor KdTree::nearest(const Vec3f& query) const {
   return best;
 }
 
-void KdTree::search_radius(std::uint32_t node_id, const Vec3f& query, float r2,
-                           std::vector<Neighbor>& out) const {
-  const Node& node = nodes_[node_id];
-  if (node.axis < 0) {
-    for (std::uint32_t i = node.begin; i < node.end; ++i) {
-      const std::uint32_t pi = index_[i];
-      const float d2 = distance2(query, points_[pi]);
-      if (d2 <= r2) out.push_back({pi, d2});
-    }
-    return;
-  }
-  const float delta = query[node.axis] - node.split;
-  const std::uint32_t near = delta < 0.0f ? node.left : node.right;
-  const std::uint32_t far = delta < 0.0f ? node.right : node.left;
-  search_radius(near, query, r2, out);
-  if (delta * delta <= r2) search_radius(far, query, r2, out);
-}
-
-std::vector<Neighbor> KdTree::radius(const Vec3f& query, float radius) const {
-  std::vector<Neighbor> out;
-  if (!empty() && radius >= 0.0f) {
-    search_radius(root_, query, radius * radius, out);
-    std::sort(out.begin(), out.end());
-  }
-  return out;
-}
-
 }  // namespace volut

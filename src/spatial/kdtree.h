@@ -1,4 +1,4 @@
-// kd-tree over point positions: exact kNN and radius queries.
+// kd-tree over point positions: exact kNN queries.
 //
 // This is the reference spatial index (the "vanilla kNN" path in the paper's
 // interpolation baseline) and is also used by the Chamfer-distance metric and
@@ -35,8 +35,7 @@ class KdTree {
   /// nearest() report report_indices[i] instead of the position index i —
   /// the two-layer octree maps its cell-local slices straight to global
   /// indices this way, so heap tie-breaking operates on the indices the
-  /// caller actually compares. radius() is unaffected (it always reports
-  /// position indices).
+  /// caller actually compares.
   void build(std::span<const Vec3f> positions,
              std::span<const std::uint32_t> report_indices = {});
 
@@ -71,9 +70,6 @@ class KdTree {
   /// {kNoNeighbor, +inf} when the tree is empty.
   Neighbor nearest(const Vec3f& query) const;
 
-  /// All points within `radius` of `query`, sorted by increasing distance.
-  std::vector<Neighbor> radius(const Vec3f& query, float radius) const;
-
  private:
   struct Node {
     float split = 0.0f;          // split coordinate value
@@ -93,8 +89,6 @@ class KdTree {
   /// are held). Defined in kdtree.cc, its only user.
   template <typename ScanLeaf>
   void walk(const Vec3f& query, ScanLeaf&& scan_leaf) const;
-  void search_radius(std::uint32_t node_id, const Vec3f& query, float r2,
-                     std::vector<Neighbor>& out) const;
 
   /// 32 points per leaf = 4 AVX2 blocks: larger leaves trade tree descent
   /// for vectorized brute force, the same trade the paper's GPU cell scan

@@ -8,8 +8,8 @@
 namespace volut {
 
 namespace {
-/// Stack-buffer cap shared by merge_and_prune_into and its vector wrapper;
-/// also the hard ceiling on how many merged neighbors one call can return.
+/// Stack-buffer cap of merge_and_prune_into; also the hard ceiling on how
+/// many merged neighbors one call can return.
 constexpr std::size_t kMaxCand = 64;
 }  // namespace
 
@@ -63,16 +63,6 @@ std::size_t merge_and_prune_into(std::span<const Neighbor> a,
 
   std::copy(best.begin(), best.begin() + best_n, out.begin());
   return best_n;
-}
-
-std::vector<Neighbor> merge_and_prune(std::span<const Neighbor> a,
-                                      std::span<const Neighbor> b,
-                                      const Vec3f& query,
-                                      std::span<const Vec3f> positions,
-                                      std::size_t k) {
-  std::vector<Neighbor> out(std::min(k, kMaxCand));
-  out.resize(merge_and_prune_into(a, b, query, positions, k, out));
-  return out;
 }
 
 void batch_knn_kdtree(const KdTree& tree, std::span<const Vec3f> queries,

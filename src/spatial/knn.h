@@ -184,13 +184,6 @@ std::size_t merge_and_prune_into(std::span<const Neighbor> a,
                                  std::span<const Vec3f> positions,
                                  std::size_t k, std::span<Neighbor> out);
 
-/// Vector-returning convenience wrapper over merge_and_prune_into.
-std::vector<Neighbor> merge_and_prune(std::span<const Neighbor> a,
-                                      std::span<const Neighbor> b,
-                                      const Vec3f& query,
-                                      std::span<const Vec3f> positions,
-                                      std::size_t k);
-
 /// Runs one k-nearest-neighbor query per entry of `queries` against `tree`
 /// into `out` (reshaped to queries.size() x k), split into chunked batches on
 /// `pool` (serial when `pool` is null or has a single worker). Each query

@@ -1,8 +1,6 @@
 #include "src/sr/lut_builder.h"
 
 #include <stdexcept>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/platform/thread_pool.h"
@@ -80,34 +78,6 @@ RefinementLut distill_lut(const RefineNet& net, const LutSpec& spec,
       }
     };
     run_parallel(pool, total, distill_range, /*min_grain=*/kBatch);
-  }
-  return lut;
-}
-
-RefinementLut build_lut_from_samples(const TrainingSet& data,
-                                     const LutSpec& spec) {
-  RefinementLut lut(spec);
-  const std::size_t n = spec.receptive_field;
-  const int b = spec.bins;
-  for (int axis = 0; axis < 3; ++axis) {
-    const AxisSamples& samples = data.axes[axis];
-    // Accumulate sum/count sparsely, then write means.
-    std::unordered_map<std::uint64_t, std::pair<double, std::size_t>> acc;
-    std::vector<std::uint16_t> seq(n);
-    for (std::size_t s = 0; s < samples.inputs.size(); ++s) {
-      for (std::size_t j = 0; j < n; ++j) {
-        seq[j] = quantize_coord(samples.inputs[s][j], b);
-      }
-      auto& slot = acc[axis_index(seq, b)];
-      slot.first += samples.targets[s];
-      ++slot.second;
-    }
-    // Each entry writes its own LUT slot from its own sum/count — no
-    // cross-iteration accumulation, so hash order cannot reach the result.
-    for (const auto& [idx, sum_count] : acc) {  // lint: order-independent
-      lut.set(axis, idx,
-              float(sum_count.first / double(sum_count.second)));
-    }
   }
   return lut;
 }

@@ -1,16 +1,11 @@
 // Offline LUT construction (§4.2.1, "LUT Construction and Usage").
 //
-// Two construction paths:
-//   * distill_lut: evaluates the trained refinement network on every
-//     reachable quantized neighborhood configuration (Eq. 6:
-//     LUT[quantize(q1..qn)] = NN(q1..qn)) — the paper's method. Because the
-//     target point is always first in the index and normalizes to the origin
-//     (Eq. 3), only the center-bin slice of each axis table is reachable at
-//     runtime; the builder enumerates exactly the b^(n-1) reachable entries
-//     per axis.
-//   * build_lut_from_samples: direct statistical construction — averages
-//     observed target offsets per bin configuration. Used by tests and as a
-//     training-free ablation.
+// distill_lut evaluates the trained refinement network on every reachable
+// quantized neighborhood configuration (Eq. 6:
+// LUT[quantize(q1..qn)] = NN(q1..qn)). Because the target point is always
+// first in the index and normalizes to the origin (Eq. 3), only the
+// center-bin slice of each axis table is reachable at runtime; the builder
+// enumerates exactly the b^(n-1) reachable entries per axis.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +23,5 @@ class ThreadPool;
 /// when null); the table is bit-identical at any worker count.
 RefinementLut distill_lut(const RefineNet& net, const LutSpec& spec,
                           ThreadPool* pool = nullptr);
-
-/// Builds a LUT by averaging sample targets per quantized configuration.
-/// Unvisited configurations keep a zero offset (identity refinement).
-RefinementLut build_lut_from_samples(const TrainingSet& data,
-                                     const LutSpec& spec);
 
 }  // namespace volut

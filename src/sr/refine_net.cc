@@ -1,9 +1,7 @@
 #include "src/sr/refine_net.h"
 
 #include <algorithm>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "src/spatial/kdtree.h"
 #include "src/sr/position_encoding.h"
@@ -156,24 +154,6 @@ std::size_t RefineNet::parameter_count() const {
   std::size_t total = 0;
   for (const nn::Mlp& net : nets_) total += net.parameter_count();
   return total;
-}
-
-void RefineNet::save(std::ostream& os) const {
-  const std::uint64_t rf = config_.receptive_field;
-  os.write(reinterpret_cast<const char*>(&rf), sizeof(rf));
-  for (const nn::Mlp& net : nets_) net.save(os);
-}
-
-RefineNet RefineNet::load(std::istream& is) {
-  std::uint64_t rf = 0;
-  is.read(reinterpret_cast<char*>(&rf), sizeof(rf));
-  RefineNetConfig cfg;
-  cfg.receptive_field = rf;
-  RefineNet net(cfg);
-  net.nets_.clear();
-  net.nets_.reserve(3);
-  for (int a = 0; a < 3; ++a) net.nets_.push_back(nn::Mlp::load(is));
-  return net;
 }
 
 }  // namespace volut

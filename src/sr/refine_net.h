@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "src/core/point_cloud.h"
@@ -84,9 +83,6 @@ class RefineNet {
   float train(const TrainingSet& data);
 
   std::size_t parameter_count() const;
-
-  void save(std::ostream& os) const;
-  static RefineNet load(std::istream& is);
 
   const nn::Mlp& axis_net(int axis) const { return nets_[axis]; }
 

@@ -2,8 +2,22 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace volut {
+
+namespace {
+
+/// Throws the server's error code when `response` is an error response.
+/// decode_error rejects an error body too short to hold the code.
+void throw_if_error(const Message& response, const char* request) {
+  if (response.type != MessageType::kError) return;
+  throw std::runtime_error(std::string("VolutClient: server rejected ") +
+                           request + " with error code " +
+                           std::to_string(decode_error(response).code));
+}
+
+}  // namespace
 
 std::pair<std::unique_ptr<InMemoryTransport>,
           std::unique_ptr<InMemoryTransport>>
@@ -108,6 +122,7 @@ void VolutClient::await_message() {
 Manifest VolutClient::fetch_manifest(std::uint32_t video_id) {
   transport_->send(frame_message(encode_manifest_request({video_id})));
   await_message();
+  throw_if_error(message_, "manifest request");
   return decode_manifest(message_);
 }
 
@@ -125,9 +140,7 @@ void VolutClient::fetch_chunk_into(std::uint32_t video_id,
   frame_chunk_request({video_id, index, density_ratio}, request_bytes_);
   transport_->send(request_bytes_);
   await_message();
-  if (message_.type == MessageType::kError) {
-    throw std::runtime_error("VolutClient: server rejected chunk request");
-  }
+  throw_if_error(message_, "chunk request");
   const ChunkHeader header =
       decode_chunk_response_views(message_, frame_views_);
 

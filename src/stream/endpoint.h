@@ -95,7 +95,8 @@ class VolutClient {
   VolutClient(Transport* transport, std::shared_ptr<const RefinementLut> lut,
               InterpolationConfig interp, ThreadPool* pool = nullptr);
 
-  /// Blocking manifest fetch (synchronous transports only).
+  /// Blocking manifest fetch (synchronous transports only). Both fetches
+  /// throw std::runtime_error naming the code of a server error response.
   Manifest fetch_manifest(std::uint32_t video_id);
 
   /// Fetches chunk `index` at `density_ratio`, decodes every frame and runs

@@ -1,10 +1,13 @@
 // Tests for the wire codec, chunk serialization, NPY and PLY I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -41,6 +44,75 @@ PointCloud decode_via_view(const EncodedFrame& frame) {
   PointCloud out = random_cloud(7, 99);
   decode_frame_into({frame.bounds, frame.point_count, frame.payload}, out);
   return out;
+}
+
+/// An NPY v1.0 stream whose header is the dict `dict`, then `payload`.
+std::string npy_stream(const std::string& dict,
+                       const std::string& payload = "") {
+  const std::string header = dict + "\n";
+  std::string out = "\x93NUMPY";
+  out += '\x01';
+  out += '\x00';
+  out += static_cast<char>(header.size() & 0xFF);
+  out += static_cast<char>(header.size() >> 8);
+  return out + header + payload;
+}
+
+/// Loads `bytes` as an NPY stream. A std::runtime_error, or an array whose
+/// payload is exactly its shape's byte count, is a sound outcome and
+/// returns ""; anything else is described.
+std::string npy_load_problem(const std::string& bytes) {
+  std::stringstream ss(bytes);
+  try {
+    const NpyArray array = npy_load(ss);
+    // Every supported dtype ends in its item size ("<f2", "|u1", "<i8").
+    long double expected = array.shape.empty() ? 0 : array.dtype.back() - '0';
+    for (std::size_t dim : array.shape) expected *= dim;
+    if (expected != static_cast<long double>(array.data.size())) {
+      return "payload of " + std::to_string(array.data.size()) +
+             " bytes for dtype " + array.dtype + " and " +
+             std::to_string(array.shape.size()) + " dims";
+    }
+    return "";
+  } catch (const std::runtime_error&) {
+    return "";
+  } catch (const std::exception& e) {
+    return std::string("threw ") + e.what();
+  }
+}
+
+/// Writes `text` to a scratch file, loads it with load_ply, and removes it.
+PointCloud load_ply_text(const std::string& text) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "volut_parse_test.ply")
+          .string();
+  std::ofstream(path, std::ios::binary) << text;
+  try {
+    PointCloud cloud = load_ply(path);
+    std::filesystem::remove(path);
+    return cloud;
+  } catch (...) {
+    std::filesystem::remove(path);
+    throw;
+  }
+}
+
+/// load_ply_text's outcome: a std::runtime_error, or a cloud with no more
+/// points than `text` has lines, is sound and returns "".
+std::string ply_load_problem(const std::string& text) {
+  try {
+    const PointCloud cloud = load_ply_text(text);
+    const auto lines = std::count(text.begin(), text.end(), '\n') + 1;
+    if (cloud.size() > std::size_t(lines)) {
+      return std::to_string(cloud.size()) + " points from " +
+             std::to_string(lines) + " lines";
+    }
+    return "";
+  } catch (const std::runtime_error&) {
+    return "";
+  } catch (const std::exception& e) {
+    return std::string("threw ") + e.what();
+  }
 }
 
 bool same_points(const PointCloud& a, const PointCloud& b) {
@@ -296,6 +368,47 @@ TEST(NpyTest, BadMagicThrows) {
   EXPECT_THROW(npy_load(ss), std::runtime_error);
 }
 
+TEST(NpyTest, ShapeWhoseByteCountWrapsThrows) {
+  // 2^62 <f4 elements and 2^64 <f2 elements both wrap the byte count to 0.
+  for (const char* dict :
+       {"{'descr': '<f4', 'fortran_order': False, "
+        "'shape': (4611686018427387904,), }",
+        "{'descr': '<f2', 'fortran_order': False, "
+        "'shape': (4294967296, 4294967296), }"}) {
+    std::stringstream ss(npy_stream(dict));
+    EXPECT_THROW(npy_load(ss), std::runtime_error) << dict;
+  }
+}
+
+TEST(NpyTest, OverlongShapeEntryThrowsRuntimeError) {
+  std::stringstream ss(npy_stream(
+      "{'descr': '<f2', 'fortran_order': False, "
+      "'shape': (123456789012345678901234,), }"));
+  EXPECT_THROW(npy_load(ss), std::runtime_error);
+}
+
+TEST(NpyTest, TruncationsAndByteFlipsThrowOrLoadConsistently) {
+  std::stringstream ss;
+  npy_save(ss, npy_from_half(std::vector<half_t>(12, float_to_half(2.0f)),
+                             {3, 4}));
+  const std::string valid = ss.str();
+  ASSERT_EQ(npy_load_problem(valid), "");
+  for (std::size_t n = 0; n < valid.size(); ++n) {
+    EXPECT_EQ(npy_load_problem(valid.substr(0, n)), "") << "first " << n;
+  }
+  // Four passes, each flipping every byte in turn by a nonzero mask.
+  CounterRng rng(30);
+  for (int pass = 0; pass < 4; ++pass) {
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      std::string flipped = valid;
+      const auto mask = static_cast<char>(1 + rng.next(255));
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      EXPECT_EQ(npy_load_problem(flipped), "")
+          << "byte " << i << " ^ " << int(std::uint8_t(mask));
+    }
+  }
+}
+
 TEST(PlyTest, RoundTrip) {
   const PointCloud pc = random_cloud(50, 6);
   const auto path =
@@ -312,6 +425,45 @@ TEST(PlyTest, RoundTrip) {
 
 TEST(PlyTest, MissingFileThrows) {
   EXPECT_THROW(load_ply("/nonexistent/volut.ply"), std::runtime_error);
+}
+
+TEST(PlyTest, BadVertexCountsThrowRuntimeError) {
+  // Not a number, a 23-digit number, 2^64 - 1 (beyond the cloud's
+  // max_size) and a missing count.
+  for (const char* count :
+       {" abc", " 12345678901234567890123", " 18446744073709551615", ""}) {
+    const std::string text = std::string("ply\nformat ascii 1.0\n") +
+                             "element vertex" + count +
+                             "\nend_header\n0 0 0\n";
+    EXPECT_THROW(load_ply_text(text), std::runtime_error) << count;
+  }
+}
+
+TEST(PlyTest, TruncationsAndByteFlipsThrowOrLoadConsistently) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "volut_parse_valid.ply")
+          .string();
+  ASSERT_TRUE(save_ply(path, random_cloud(4, 12)));
+  std::ifstream is(path, std::ios::binary);
+  const std::string valid((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  is.close();
+  std::filesystem::remove(path);
+  ASSERT_EQ(load_ply_text(valid).size(), 4u);
+  for (std::size_t n = 0; n < valid.size(); ++n) {
+    EXPECT_EQ(ply_load_problem(valid.substr(0, n)), "") << "first " << n;
+  }
+  // Four passes, each flipping every byte in turn by a nonzero mask.
+  CounterRng rng(31);
+  for (int pass = 0; pass < 4; ++pass) {
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      std::string flipped = valid;
+      const auto mask = static_cast<char>(1 + rng.next(255));
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      EXPECT_EQ(ply_load_problem(flipped), "")
+          << "byte " << i << " ^ " << int(std::uint8_t(mask));
+    }
+  }
 }
 
 }  // namespace

@@ -69,14 +69,6 @@ TEST(TraceTest, LteTraceIsDeterministicPerSeed) {
   EXPECT_NE(a.bandwidth_at(33.0), c.bandwidth_at(33.0));
 }
 
-TEST(TraceTest, PaperSuiteShape) {
-  const auto suite = BandwidthTrace::paper_suite();
-  ASSERT_EQ(suite.size(), 6u);
-  EXPECT_DOUBLE_EQ(suite[0].mean_mbps(), 50.0);
-  EXPECT_NEAR(suite[3].mean_mbps(), 32.5, 3.0);   // low-bandwidth LTE
-  EXPECT_NEAR(suite[5].mean_mbps(), 176.5, 10.0); // high LTE
-}
-
 TEST(TraceTest, WrapAccountingExposesPeriodicExtension) {
   BandwidthTrace trace({10.0, 20.0}, 1.0);  // 2 s capture
   EXPECT_FALSE(trace.wrapped(0.0));

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "src/core/rng.h"
 #include "src/nn/matrix.h"
@@ -165,23 +164,6 @@ TEST(MlpTest, AdamFitsNonlinearFunction) {
     opt.step();
   }
   EXPECT_LT(loss, 2e-2f);
-}
-
-TEST(MlpTest, SaveLoadRoundTrip) {
-  Rng rng(8);
-  Mlp mlp({3, 7, 2}, rng);
-  Matrix x(2, 3);
-  for (float& v : x.raw()) v = rng.gaussian(1.0f);
-  const Matrix before = mlp.forward(x);
-
-  std::stringstream ss;
-  mlp.save(ss);
-  Mlp loaded = Mlp::load(ss);
-  const Matrix after = loaded.forward(x);
-  ASSERT_EQ(after.size(), before.size());
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_FLOAT_EQ(after.raw()[i], before.raw()[i]);
-  }
 }
 
 TEST(MlpTest, InvalidDimsThrow) {

@@ -6,6 +6,8 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "src/metrics/chamfer.h"
 #include "src/stream/endpoint.h"
@@ -294,10 +296,24 @@ TEST_F(EndpointTest, SrRecoversGeometry) {
   EXPECT_LT(cover_sr, cover_low);
 }
 
+/// what() of the std::runtime_error that `fetch` throws, or "no exception".
+std::string rejection_of(const std::function<void()>& fetch) {
+  try {
+    fetch();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
 TEST_F(EndpointTest, InvalidRequestsRejected) {
-  EXPECT_THROW(client_->fetch_chunk(3, 99999, 0.5f), std::runtime_error);
-  EXPECT_THROW(client_->fetch_chunk(3, 0, 1.5f), std::runtime_error);
-  EXPECT_THROW(client_->fetch_chunk(3, 0, 0.0f), std::runtime_error);
+  // The client surfaces the server's 400 in the exception it throws.
+  for (const auto& request :
+       {std::pair{99999u, 0.5f}, {0u, 1.5f}, {0u, 0.0f}}) {
+    const std::string what = rejection_of(
+        [&] { client_->fetch_chunk(3, request.first, request.second); });
+    EXPECT_NE(what.find("400"), std::string::npos) << what;
+  }
 }
 
 /// Client end that forwards to `inner` and passes each delivery through
@@ -342,6 +358,37 @@ TEST_F(EndpointTest, TruncatedChunkBodyThrowsAndTheClientRecovers) {
   EXPECT_EQ(chunk.index, 1u);
   ASSERT_FALSE(chunk.sr_frames.empty());
   EXPECT_GT(chunk.sr_frames[0].size(), chunk.frames[0].size());
+}
+
+TEST_F(EndpointTest, ErrorResponsesNameTheirCodeOrAreRejectedWhenTruncated) {
+  TapTransport tapped(client_transport_.get());
+  VolutClient client(&tapped, std::make_shared<RefinementLut>(LutSpec{4, 16}),
+                     InterpolationConfig{});
+  // A manifest answered with an error names the code instead of failing on
+  // the message type.
+  const Message error_503 = encode_error({503});
+  tapped.tap = [&](std::vector<std::uint8_t>& bytes) {
+    bytes = frame_message(error_503);
+  };
+  EXPECT_NE(rejection_of([&] { client.fetch_manifest(3); }).find("503"),
+            std::string::npos);
+  EXPECT_NE(rejection_of([&] { client.fetch_chunk(3, 0, 0.5f); }).find("503"),
+            std::string::npos);
+
+  // An error body too short for its code is rejected, not read past.
+  Message truncated = encode_error({503});
+  truncated.body.resize(2);
+  tapped.tap = [&](std::vector<std::uint8_t>& bytes) {
+    bytes = frame_message(truncated);
+  };
+  EXPECT_NE(rejection_of([&] { client.fetch_manifest(3); }).find("truncated"),
+            std::string::npos);
+  EXPECT_NE(
+      rejection_of([&] { client.fetch_chunk(3, 0, 0.5f); }).find("truncated"),
+      std::string::npos);
+
+  tapped.tap = nullptr;
+  EXPECT_EQ(client.fetch_chunk(3, 1, 0.5f).index, 1u);
 }
 
 TEST_F(EndpointTest, NanDensityGets400AndTheClientRecovers) {

@@ -194,23 +194,6 @@ TEST(KdTreeTest, NearestOnGrid) {
   EXPECT_EQ(pts[n.index], (Vec3f{2, 3, 0}));
 }
 
-TEST(KdTreeTest, RadiusQueryMatchesBruteForce) {
-  Rng rng(11);
-  const auto pts = random_points(500, rng);
-  KdTree tree(pts);
-  const Vec3f q{0.1f, -0.2f, 0.3f};
-  const float r = 0.4f;
-  const auto got = tree.radius(q, r);
-  std::size_t expected = 0;
-  for (const auto& p : pts) {
-    if (distance(p, q) <= r) ++expected;
-  }
-  EXPECT_EQ(got.size(), expected);
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LE(got[i - 1].dist2, got[i].dist2);
-  }
-}
-
 TEST(KdTreeTest, HandlesCoincidentPoints) {
   std::vector<Vec3f> pts(100, Vec3f{1, 1, 1});
   KdTree tree(pts);
@@ -364,9 +347,9 @@ TEST(MergeAndPruneTest, RecoversTrueNeighborsOfMidpoint) {
     const Vec3f mid = midpoint(pts[pi], pts[qi]);
 
     const auto nq = tree.knn(pts[qi], 8);
-    auto merged = merge_and_prune(np, nq, mid, pts, 4);
+    std::array<Neighbor, 4> merged;
+    ASSERT_EQ(merge_and_prune_into(np, nq, mid, pts, 4, merged), 4u);
     const auto want = brute_knn(pts, mid, 4);
-    ASSERT_EQ(merged.size(), 4u);
     bool all_match = true;
     for (std::size_t j = 0; j < 4; ++j) {
       if (merged[j].index != want[j].index) all_match = false;
@@ -382,8 +365,8 @@ TEST(MergeAndPruneTest, DeduplicatesSharedCandidates) {
   const std::vector<Vec3f> pts = {{0, 0, 0}, {1, 0, 0}, {2, 0, 0}};
   const std::vector<Neighbor> a = {{0, 0.f}, {1, 0.f}};
   const std::vector<Neighbor> b = {{1, 0.f}, {2, 0.f}};
-  const auto merged = merge_and_prune(a, b, {1, 0, 0}, pts, 3);
-  ASSERT_EQ(merged.size(), 3u);
+  std::array<Neighbor, 3> merged;
+  ASSERT_EQ(merge_and_prune_into(a, b, {1, 0, 0}, pts, 3, merged), 3u);
   EXPECT_EQ(merged[0].index, 1u);  // distance 0
 }
 
@@ -426,7 +409,6 @@ TEST(KdTreeTest, NearestOnEmptyTreeReturnsSentinel) {
 TEST(KdTreeTest, EmptyAndOnePointEdgeCases) {
   const KdTree empty;
   EXPECT_TRUE(empty.knn({0, 0, 0}, 4).empty());
-  EXPECT_TRUE(empty.radius({0, 0, 0}, 10.0f).empty());
   std::array<Neighbor, 4> storage;
   NeighborHeap heap(storage);
   empty.knn_into({0, 0, 0}, heap);  // must be a no-op, not an OOB read
@@ -437,8 +419,6 @@ TEST(KdTreeTest, EmptyAndOnePointEdgeCases) {
   const Neighbor n = tree.nearest({1, 2, 4});
   EXPECT_EQ(n.index, 0u);
   EXPECT_FLOAT_EQ(n.dist2, 1.0f);
-  EXPECT_EQ(tree.radius({1, 2, 3}, 0.5f).size(), 1u);
-  EXPECT_TRUE(tree.radius({9, 9, 9}, 0.5f).empty());
 }
 
 TEST(NeighborHeapTest, EquidistantTiesKeepLowestIndicesAtAnyOrder) {
@@ -493,8 +473,8 @@ TEST(KnnTieBreakTest, LatticeTiesResolveByIndexOnEveryEngine) {
 
 TEST(KnnTieBreakTest, HeapMatchesMergeAndPruneOnLatticeMidpoints) {
   // Eq. 2 parity on symmetric midpoints: both parents are exactly
-  // equidistant from the midpoint, so heap searches and merge_and_prune must
-  // break the tie identically (by index) for the lists to agree.
+  // equidistant from the midpoint, so heap searches and merge_and_prune_into
+  // must break the tie identically (by index) for the lists to agree.
   std::vector<Vec3f> pts;
   for (int x = 0; x < 6; ++x) {
     for (int y = 0; y < 6; ++y) {
@@ -511,9 +491,11 @@ TEST(KnnTieBreakTest, HeapMatchesMergeAndPruneOnLatticeMidpoints) {
     const std::size_t qi = np[1].index;  // an adjacent lattice point
     const Vec3f mid = midpoint(pts[pi], pts[qi]);
     const auto nq = tree.knn(pts[qi], 16);
-    const auto merged = merge_and_prune(np, nq, mid, pts, 4);
+    std::array<Neighbor, 4> merged;
+    const std::size_t merged_n =
+        merge_and_prune_into(np, nq, mid, pts, 4, merged);
     const auto exact = tree.knn(mid, 4);
-    ASSERT_EQ(merged.size(), exact.size());
+    ASSERT_EQ(merged_n, exact.size());
     for (std::size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(merged[i].index, exact[i].index) << "trial " << trial;
       EXPECT_EQ(merged[i].dist2, exact[i].dist2) << "trial " << trial;

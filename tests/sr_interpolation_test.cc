@@ -1,15 +1,11 @@
-// Tests for stage 1 of the SR pipeline: sampling, dilated interpolation,
-// neighbor reuse, colorization.
+// Tests for stage 1 of the SR pipeline: dilated interpolation, neighbor
+// reuse, colorization.
 #include <gtest/gtest.h>
-
-#include <array>
-#include <set>
 
 #include "src/core/rng.h"
 #include "src/data/synthetic_video.h"
 #include "src/metrics/chamfer.h"
 #include "src/sr/interpolation.h"
-#include "src/sr/sampling.h"
 
 namespace volut {
 namespace {
@@ -22,87 +18,6 @@ PointCloud test_cloud(std::size_t n, std::uint64_t seed = 1) {
                  Color{std::uint8_t(rng.next(256)), 0, 0});
   }
   return pc;
-}
-
-TEST(FpsTest, SelectsExactCountWithoutDuplicates) {
-  const PointCloud pc = test_cloud(300);
-  Rng rng(2);
-  const PointCloud sub = farthest_point_sample(pc, 50, rng);
-  EXPECT_EQ(sub.size(), 50u);
-  std::set<float> xs;
-  for (const auto& p : sub.positions()) xs.insert(p.x);
-  EXPECT_EQ(xs.size(), 50u);
-}
-
-TEST(FpsTest, CoverageBetterThanRandom) {
-  // FPS preserves geometric coverage: its directed Chamfer from the full
-  // cloud to the sample should beat random sampling's.
-  const PointCloud pc = test_cloud(2000, 3);
-  Rng rng(4);
-  const PointCloud fps = farthest_point_sample(pc, 100, rng);
-  const PointCloud random = pc.random_downsample_exact(100, rng);
-  EXPECT_LT(directed_chamfer(pc, fps), directed_chamfer(pc, random));
-}
-
-TEST(FpsTest, EdgeCases) {
-  const PointCloud pc = test_cloud(10);
-  Rng rng(5);
-  EXPECT_EQ(farthest_point_sample(pc, 0, rng).size(), 0u);
-  EXPECT_EQ(farthest_point_sample(pc, 10, rng).size(), 10u);
-  EXPECT_EQ(farthest_point_sample(pc, 99, rng).size(), 10u);
-}
-
-TEST(VoxelDownsampleTest, ReducesAndPreservesExtent) {
-  const PointCloud pc = test_cloud(5000, 6);
-  const PointCloud down = voxel_downsample(pc, 0.25f);
-  EXPECT_LT(down.size(), pc.size());
-  EXPECT_GT(down.size(), 50u);
-  EXPECT_NEAR(down.bounds().diagonal(), pc.bounds().diagonal(), 0.5f);
-}
-
-TEST(VoxelDownsampleTest, OutputFollowsFirstTouchOrder) {
-  // Pin the drain order of voxel_downsample: output cells must appear in
-  // the order their voxel was first touched by the input, never in
-  // unordered_map bucket order (which varies with hash layout and would
-  // break the bit-identical determinism contract).
-  //
-  // Each point gets its own voxel (spacing 2 with voxel=1), scrambled so
-  // input order and coordinate order disagree; the output must reproduce
-  // the input order exactly.
-  constexpr std::size_t kN = 64;
-  std::array<std::size_t, kN> perm{};
-  for (std::size_t i = 0; i < kN; ++i) perm[i] = i;
-  Rng rng(8);
-  for (std::size_t i = kN; i-- > 1;) {
-    std::swap(perm[i], perm[rng.next(i + 1)]);
-  }
-  PointCloud pc;
-  for (std::size_t i = 0; i < kN; ++i) {
-    const auto k = float(perm[i]);
-    pc.push_back({2.0f * k, 0.0f, -2.0f * k},
-                 Color{std::uint8_t(perm[i]), 0, 0});
-  }
-  const PointCloud down = voxel_downsample(pc, 1.0f);
-  ASSERT_EQ(down.size(), kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(down.position(i).x, pc.position(i).x) << "at index " << i;
-    EXPECT_EQ(down.position(i).z, pc.position(i).z) << "at index " << i;
-    EXPECT_EQ(down.color(i).r, pc.color(i).r) << "at index " << i;
-  }
-
-  // Duplicating every point (in reverse) must not change the output: cell
-  // order is keyed to FIRST touch, and the centroid of two identical
-  // points is the point itself.
-  PointCloud doubled = pc;
-  for (std::size_t i = kN; i-- > 0;) {
-    doubled.push_back(pc.position(i), pc.color(i));
-  }
-  const PointCloud down2 = voxel_downsample(doubled, 1.0f);
-  ASSERT_EQ(down2.size(), kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(down2.position(i).x, pc.position(i).x) << "at index " << i;
-    EXPECT_EQ(down2.color(i).r, pc.color(i).r) << "at index " << i;
-  }
 }
 
 TEST(InterpolationTest, RatioOneIsIdentity) {

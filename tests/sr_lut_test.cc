@@ -217,29 +217,6 @@ TEST(LutTest, NpySaveLoadRoundTrip) {
   std::filesystem::remove(path + ".meta");
 }
 
-TEST(LutBuilderTest, SampleLutStoresBinMeans) {
-  TrainingSet data;
-  const std::size_t n = 3;
-  for (auto& axis : data.axes) axis.n = n;
-  // Two samples in the same bin configuration with targets 0.2 and 0.4.
-  for (float target : {0.2f, 0.4f}) {
-    for (int a = 0; a < 3; ++a) {
-      std::array<float, kMaxReceptiveField> row{};
-      row[0] = 0.0f;
-      row[1] = 0.5f;
-      row[2] = -0.5f;
-      data.axes[a].inputs.push_back(row);
-      data.axes[a].targets.push_back(target);
-    }
-  }
-  const LutSpec spec{n, 16};
-  const RefinementLut lut = build_lut_from_samples(data, spec);
-  std::vector<std::uint16_t> seq = {quantize_coord(0.0f, 16),
-                                    quantize_coord(0.5f, 16),
-                                    quantize_coord(-0.5f, 16)};
-  EXPECT_NEAR(lut.get(0, axis_index(seq, 16)), 0.3f, 1e-3f);
-}
-
 TEST(LutBuilderTest, DistillMatchesNetworkAtBinCenters) {
   RefineNetConfig cfg;
   cfg.receptive_field = 3;

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "src/core/rng.h"
 #include "src/data/synthetic_video.h"
@@ -234,16 +233,6 @@ TEST_F(TrainedSrTest, RefinementOffsetsAreBounded) {
   for (std::size_t i = low.size(); i < plain.cloud.size(); i += 13) {
     EXPECT_LT(distance(plain.cloud.position(i), refined.cloud.position(i)),
               scale * 0.2f);
-  }
-}
-
-TEST_F(TrainedSrTest, NetSaveLoadPreservesPredictions) {
-  std::stringstream ss;
-  net_->save(ss);
-  const RefineNet loaded = RefineNet::load(ss);
-  const std::vector<float> coords = {0.0f, 0.3f, -0.2f, 0.7f};
-  for (int a = 0; a < 3; ++a) {
-    EXPECT_FLOAT_EQ(loaded.predict(a, coords), net_->predict(a, coords));
   }
 }
 
