@@ -10,6 +10,7 @@
 
 #include "bench/common.h"
 #include "src/abr/throughput.h"
+#include "src/net/shared_link.h"
 #include "src/stream/session.h"
 
 namespace {
@@ -28,6 +29,7 @@ double rate_based_session_qoe(const SessionConfig& base,
       base.max_chunks, server.chunk_count(base.chunk_seconds));
   RateBasedAbr abr;
   ThroughputEstimator estimator(5);
+  SharedLink net(link.trace);
   double clock = 0.0, buffer = 0.0, qoe = 0.0, prev_q = -1.0, bytes_sum = 0.0;
   double prev_ratio = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -41,7 +43,9 @@ double rate_based_session_qoe(const SessionConfig& base,
     ctx.sr_seconds_per_chunk_full = base.volut_sr_seconds_per_chunk;
     const AbrDecision d = abr.decide(ctx);
     const double bytes = full_bytes * d.density_ratio;
-    const double done = link.download_complete_time(bytes, clock);
+    net.start_flow(bytes);
+    const double done = net.next_completion_time(clock + link.rtt_seconds);
+    net.advance(clock + link.rtt_seconds, done);
     const double dl = done - clock;
     if (dl > 0) estimator.add_sample(bytes * 8.0 / dl / 1e6);
     const double sr = base.volut_sr_seconds_per_chunk * d.density_ratio;

@@ -88,14 +88,6 @@ bool parse_dim(std::string_view token, std::size_t& dim) {
   return true;
 }
 
-/// a * b, throwing instead of wrapping.
-std::size_t checked_mul(std::size_t a, std::size_t b) {
-  if (b != 0 && a > std::numeric_limits<std::size_t>::max() / b) {
-    throw std::runtime_error("npy: array size overflows");
-  }
-  return a * b;
-}
-
 /// Bytes between the read position of `is` and its end, so no length field
 /// can make the reader allocate more than the stream holds.
 std::size_t bytes_left(std::istream& is) {
@@ -173,18 +165,27 @@ NpyArray npy_load(std::istream& is) {
     pos = end + 1;
   }
 
-  // element_count() would wrap on a forged shape, so multiply checked here.
   const std::size_t item = dtype_size(array.dtype);
-  std::size_t bytes = array.shape.empty() ? 0 : item;
-  for (const std::size_t dim : array.shape) bytes = checked_mul(bytes, dim);
-  if (bytes > bytes_left(is)) {
+  const std::size_t count = array.element_count();
+  if (count > bytes_left(is) / item) {
     throw std::runtime_error("npy: truncated payload");
   }
-  array.data.resize(bytes);
+  array.data.resize(count * item);
   is.read(reinterpret_cast<char*>(array.data.data()),
-          static_cast<std::streamsize>(bytes));
+          static_cast<std::streamsize>(array.data.size()));
   if (!is) throw std::runtime_error("npy: truncated payload");
   return array;
+}
+
+std::size_t NpyArray::element_count() const {
+  std::size_t n = shape.empty() ? 0 : 1;
+  for (const std::size_t dim : shape) {
+    if (dim != 0 && n > std::numeric_limits<std::size_t>::max() / dim) {
+      throw std::runtime_error("npy: array size overflows");
+    }
+    n *= dim;
+  }
+  return n;
 }
 
 NpyArray npy_load_file(const std::string& path) {

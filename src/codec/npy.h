@@ -22,11 +22,9 @@ struct NpyArray {
   /// Raw little-endian payload.
   std::vector<std::uint8_t> data;
 
-  std::size_t element_count() const {
-    std::size_t n = 1;
-    for (std::size_t s : shape) n *= s;
-    return shape.empty() ? 0 : n;
-  }
+  /// Product of the shape (0 for an empty shape). Throws
+  /// std::runtime_error when the running product overflows std::size_t.
+  std::size_t element_count() const;
 };
 
 /// Serializes `array` in NPY v1.0 format. Throws std::runtime_error on I/O

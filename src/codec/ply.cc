@@ -33,8 +33,9 @@ PointCloud load_ply(const std::string& path) {
   bool header_done = false;
   while (std::getline(is, line)) {
     if (line.rfind("element vertex", 0) == 0) {
+      // Unsigned extraction would read "-1" as 2^64 - 1.
       std::istringstream count(line.substr(14));
-      if (!(count >> vertex_count)) {
+      if ((count >> std::ws).peek() == '-' || !(count >> vertex_count)) {
         throw std::runtime_error("load_ply: bad vertex count: " + line);
       }
     } else if (line.rfind("format", 0) == 0 &&

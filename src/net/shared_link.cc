@@ -9,7 +9,7 @@ namespace volut {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Bounds segment walks the same way BandwidthTrace::transfer_time does.
+// Bounds a walk whose live flows never drain (an undecided uplink and cap).
 constexpr int kMaxSegments = 10'000'000;
 
 // Drains `span` seconds at `rates` from every flow but `skip`, adding each
@@ -38,6 +38,7 @@ double SharedLink::abort_flow(std::uint64_t id) {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     if (flows_[i].id != id) continue;
     const double received = flows_[i].total_bytes - remaining_[i] / 8.0;
+    live_flows_ -= flows_[i].live;
     flows_.erase(flows_.begin() + std::ptrdiff_t(i));
     remaining_.erase(remaining_.begin() + std::ptrdiff_t(i));
     peek_.valid = false;
@@ -51,8 +52,10 @@ std::uint64_t SharedLink::start_flow(double bytes, const BandwidthTrace* cap,
   Flow flow;
   flow.id = next_id_++;
   flow.total_bytes = std::max(0.0, bytes);
-  flow.cap = cap;
+  flow.cap = cap != nullptr && !cap->empty() ? cap : nullptr;
   flow.owner = owner;
+  flow.live = flow.cap ? trace_.overlaps(*flow.cap) : !trace_.all_zero();
+  live_flows_ += flow.live;
   flows_.push_back(flow);
   remaining_.push_back(flow.total_bytes * 8.0);
   peek_.valid = false;
@@ -66,7 +69,7 @@ void SharedLink::fill_rates(double t) const {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     const Flow& flow = flows_[i];
     double rate = share;
-    if (flow.cap != nullptr && !flow.cap->empty()) {
+    if (flow.cap != nullptr) {
       rate = std::min(rate, flow.cap->bandwidth_at(t) * 1e6);
     }
     rates_[i] = rate;
@@ -76,7 +79,7 @@ void SharedLink::fill_rates(double t) const {
 double SharedLink::next_boundary(double t) const {
   double b = trace_.next_edge_after(t);
   for (const Flow& f : flows_) {
-    if (f.cap != nullptr && !f.cap->empty()) {
+    if (f.cap != nullptr) {
       b = std::min(b, f.cap->next_edge_after(t));
     }
   }
@@ -87,15 +90,6 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t, double until,
                              double& drained, bool keep_first) const {
   ++walks_;
   const std::size_t n = flows_.size();
-  // A dead link: no flow can ever drain a bit, because the uplink trace is
-  // all zero or every flow is capped by an all-zero trace. Anything else
-  // keeps walking, since capacity may return; only kMaxSegments stops an
-  // uplink and caps that are never non-zero at the same time.
-  const bool dead =
-      trace_.all_zero() ||
-      (n > 0 && std::all_of(flows_.begin(), flows_.end(), [](const Flow& f) {
-         return f.cap != nullptr && !f.cap->empty() && f.cap->all_zero();
-       }));
   for (int guard = 0; guard < kMaxSegments; ++guard) {
     // A flow with nothing left to send (zero-byte artifact, or drained
     // exactly dry at a window edge) completes at t before any rate math —
@@ -104,13 +98,13 @@ std::size_t SharedLink::walk(std::vector<double>& rem, double& t, double until,
     for (std::size_t i = 0; i < n; ++i) {
       if (rem[i] <= 0.0) return i;
     }
-    // A blackout (scale 0) pins every rate to zero until the caller flips
-    // the scale back — that restore is the caller's own event. `>` (not
-    // `>=`): one zero-width pass at t == until still runs the winner scan,
-    // so a completion whose time rounds to exactly `until` (tiny remainder /
-    // huge rate) is delivered instead of livelocking the caller's event
-    // loop.
-    if (n == 0 || dead || rate_scale_ <= 0.0 || t > until) return n;
+    // With no live flow (idle, or a dead link) nothing ever drains. A
+    // blackout (scale 0) pins every rate to zero until the caller flips the
+    // scale back — that restore is the caller's own event. `>` (not `>=`):
+    // one zero-width pass at t == until still runs the winner scan, so a
+    // completion whose time rounds to exactly `until` (tiny remainder / huge
+    // rate) is delivered instead of livelocking the caller's event loop.
+    if (live_flows_ == 0 || rate_scale_ <= 0.0 || t > until) return n;
     const double boundary = next_boundary(t);
     const double window = boundary - t;
     const double segment_end = std::min(boundary, until);
@@ -214,6 +208,7 @@ const std::vector<SharedLink::Completion>& SharedLink::advance(double now,
   while (i < flows_.size()) {
     bytes_completed_ += flows_[i].total_bytes;
     done_.push_back({flows_[i].id, t, flows_[i].owner});
+    live_flows_ -= flows_[i].live;
     flows_.erase(flows_.begin() + std::ptrdiff_t(i));
     remaining_.erase(remaining_.begin() + std::ptrdiff_t(i));
     if (t != until) {

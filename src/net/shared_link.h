@@ -9,9 +9,9 @@
 //
 // The model is event-driven and exact: advance() walks the piecewise-constant
 // trace segment by segment, so total bits drained over any saturated interval
-// equal the integral of C(t) (see serve_test fair-share conservation). With a
-// single uncapped flow the arithmetic mirrors BandwidthTrace::transfer_time
-// step for step, which is what makes a 1-client fleet reproduce run_session.
+// equal the integral of C(t) (see serve_test fair-share conservation). It is
+// the only link model: run_session drains each download as the one flow of
+// its own SharedLink, so a 1-client fleet reproduces it by construction.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@ class SharedLink {
  public:
   explicit SharedLink(BandwidthTrace trace) : trace_(std::move(trace)) {}
 
-  const BandwidthTrace& trace() const { return trace_; }
   std::size_t active_flows() const { return flows_.size(); }
 
   /// Total bits drained across all flows so far (conservation accounting;
@@ -49,9 +48,9 @@ class SharedLink {
 
   /// Starts a `bytes`-sized download whose transfer begins at `now` (the
   /// caller accounts for RTT / server-side encode latency before that).
-  /// `cap` (optional, unowned, must outlive the flow) rate-limits this flow
-  /// to the client's own access link. `owner` is an opaque caller tag handed
-  /// back in the flow's Completion. Returns the flow id.
+  /// `cap` (optional, unowned, must outlive the flow; empty is none) caps
+  /// this flow at the client's own access link. `owner` is an opaque caller
+  /// tag handed back in the flow's Completion. Returns the flow id.
   std::uint64_t start_flow(double bytes, const BandwidthTrace* cap = nullptr,
                            std::uint64_t owner = 0);
 
@@ -108,6 +107,7 @@ class SharedLink {
     double total_bytes = 0.0;
     const BandwidthTrace* cap = nullptr;  // unowned
     std::uint64_t owner = 0;
+    bool live = false;  // uplink and cap are ever above zero at once
   };
 
   /// The one segment walk behind both public calls. Drains `rem` (bits left
@@ -116,7 +116,7 @@ class SharedLink {
   /// the first completion at or before `until`: it drains the other flows up
   /// to that time, counts the completed flow's remainder and returns its
   /// index with `t` at its completion time. Without one it returns
-  /// flows_.size() (idle, blackout, dead link, or past `until`).
+  /// flows_.size() (idle, blackout, no live flow, or past `until`).
   /// advance runs it on remaining_; next_completion_time runs the same walk
   /// on a scratch copy with `until` = +inf, so a peeked time is the time at
   /// which advance completes that flow: with `until` >= that time, every
@@ -145,6 +145,7 @@ class SharedLink {
   BandwidthTrace trace_;
   std::vector<Flow> flows_;
   std::vector<double> remaining_;  // bits left per flow, aligned with flows_
+  std::size_t live_flows_ = 0;     // flows_ entries with `live` set
   std::uint64_t next_id_ = 1;
   double rate_scale_ = 1.0;
   double bits_drained_ = 0.0;

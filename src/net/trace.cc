@@ -16,7 +16,7 @@ BandwidthTrace::BandwidthTrace(std::vector<double> samples_mbps,
       name_(std::move(name)) {
   // Reject garbage rates here rather than let them stall a SharedLink
   // periods later. All-zero traces stay valid: "link is down" is a scenario,
-  // and all_zero() lets SharedLink and transfer_time answer +inf at once;
+  // and all_zero() and overlaps() let SharedLink answer +inf at once;
   // corrupt data is not. The default-constructed empty trace also stays
   // valid — it is the documented "no cap" sentinel for per-client downlinks.
   if (samples_.empty()) {
@@ -34,6 +34,7 @@ BandwidthTrace::BandwidthTrace(std::vector<double> samples_mbps,
           "': rates must be finite and >= 0 (got " + std::to_string(s) + ")");
     }
     if (s > 0.0) all_zero_ = false;
+    if (s == 0.0) any_zero_ = true;
   }
 }
 
@@ -96,26 +97,31 @@ double BandwidthTrace::next_edge_after(double t) const {
                   : std::nextafter(t, std::numeric_limits<double>::infinity());
 }
 
-double BandwidthTrace::transfer_time(double bytes, double t0) const {
-  if (bytes <= 0.0) return 0.0;
-  if (all_zero_) return std::numeric_limits<double>::infinity();
-  double remaining_bits = bytes * 8.0;
-  double t = std::max(0.0, t0);
-  // Walk sample boundaries, draining bits at the piecewise-constant rate.
-  for (int guard = 0; guard < 10'000'000; ++guard) {
-    const double rate_bps = bandwidth_at(t) * 1e6;
-    const double boundary = next_edge_after(t);
-    const double window = boundary - t;
-    if (rate_bps > 0.0) {
-      const double drained = rate_bps * window;
-      if (drained >= remaining_bits) {
-        return (t + remaining_bits / rate_bps) - t0;
-      }
-      remaining_bits -= drained;
-    }
-    t = boundary;
+bool BandwidthTrace::overlaps(const BandwidthTrace& other) const {
+  if (all_zero_ || other.all_zero_) return false;
+  if (!any_zero_ || !other.any_zero_) return true;
+  // Both traces pause. In cells of the finer sample width, a trace whose
+  // samples are k cells wide repeats every n*k cells, and cell c of one meets
+  // cell d of the other iff c = d modulo the gcd of the two periods. Widths
+  // that are no integer multiple of each other, and grids over 2^20 cells,
+  // stay undecided.
+  const double fine = std::min(dt_, other.dt_);
+  if (std::max(dt_, other.dt_) / fine > double(1 << 20)) return true;
+  const std::size_t a = std::size_t(dt_ / fine);
+  const std::size_t b = std::size_t(other.dt_ / fine);
+  const std::size_t na = samples_.size() * a, nb = other.samples_.size() * b;
+  if (double(a) * fine != dt_ || double(b) * fine != other.dt_ ||
+      na + nb > (std::size_t(1) << 20)) {
+    return true;
   }
-  return std::numeric_limits<double>::infinity();
+  std::vector<bool> up(std::gcd(na, nb));
+  for (std::size_t c = 0; c < na; ++c) {
+    if (samples_[c / a] > 0.0) up[c % up.size()] = true;
+  }
+  for (std::size_t c = 0; c < nb; ++c) {
+    if (other.samples_[c / b] > 0.0 && up[c % up.size()]) return true;
+  }
+  return false;
 }
 
 double BandwidthTrace::mean_mbps() const {

@@ -38,8 +38,6 @@ class BandwidthTrace {
   double duration() const { return double(samples_.size()) * dt_; }
   /// Width of one piecewise-constant sample.
   double sample_seconds() const { return dt_; }
-  /// Number of recorded samples (one trace period = sample_count samples).
-  std::size_t sample_count() const { return samples_.size(); }
   /// True when no sample is above zero (vacuously for the empty trace): the
   /// link never carries a bit, however long one waits.
   bool all_zero() const { return all_zero_; }
@@ -53,19 +51,15 @@ class BandwidthTrace {
   /// walk over edges always makes progress.
   double next_edge_after(double t) const;
 
-  /// True once `t` lies past the recorded capture: bandwidth_at/transfer_time
-  /// silently repeat the trace there, so long simulations should surface this
-  /// instead of pretending the data kept going.
-  bool wrapped(double t) const { return !samples_.empty() && t >= duration(); }
+  /// True when some instant has both this trace and `other` above zero.
+  /// Decided exactly when one sample width is an integer multiple of the
+  /// other; any pair it cannot decide counts as overlapping.
+  bool overlaps(const BandwidthTrace& other) const;
 
-  /// How many complete passes of the trace lie before time `t` (0 while
-  /// within the first, genuine pass).
+  /// How many complete passes of the trace lie before time `t` (0 within the
+  /// first, genuine pass). bandwidth_at silently repeats the trace past its
+  /// capture; long simulations surface that through this count.
   std::uint64_t wrap_count(double t) const;
-
-  /// Seconds needed to transfer `bytes` starting at time `t0` (integrates
-  /// the piecewise-constant rate). Returns +inf only if the trace is all
-  /// zero (at once, without walking).
-  double transfer_time(double bytes, double t0) const;
 
   double mean_mbps() const;
   double std_mbps() const;
@@ -75,19 +69,15 @@ class BandwidthTrace {
   double dt_ = 1.0;
   std::string name_;
   bool all_zero_ = true;
+  bool any_zero_ = false;  // some sample is zero: the link pauses
 };
 
-/// A link = trace + round-trip time. Download completion uses one RTT of
-/// request latency plus the trace-integrated transfer time (the DASH-like
-/// protocol issues one request per chunk, §6).
+/// A link = trace + round-trip time. A download issued at t starts its
+/// transfer one RTT later (the DASH-like protocol issues one request per
+/// chunk, §6); run_session drains it as the one flow of a SharedLink.
 struct SimulatedLink {
   BandwidthTrace trace;
   double rtt_seconds = 0.010;
-
-  /// Absolute completion time of a `bytes`-sized download issued at `t0`.
-  double download_complete_time(double bytes, double t0) const {
-    return t0 + rtt_seconds + trace.transfer_time(bytes, t0 + rtt_seconds);
-  }
 };
 
 }  // namespace volut

@@ -855,10 +855,9 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
           continue;
         }
       }
-      const BandwidthTrace& downlink = config.clients[i].downlink;
       sync_link(c.replica);
       c.flow_id = links[c.replica].start_flow(
-          c.flow_bytes, downlink.empty() ? nullptr : &downlink, i);
+          c.flow_bytes, &config.clients[i].downlink, i);
       refresh_due(c.replica);
       log.record(now, FleetEventType::kDownloadStart, std::uint32_t(i),
                  std::int32_t(c.replica), c.flow_bytes);
@@ -1013,7 +1012,7 @@ FleetResult run_fleet(const FleetConfig& config, ThreadPool* pool) {
     stats.bytes_completed = links[r].bytes_completed();
     stats.bits_drained = links[r].bits_drained();
     stats.link_walks = links[r].walks();
-    stats.uplink_trace_wraps = links[r].trace().wrap_count(now);
+    stats.uplink_trace_wraps = config.replica_uplinks[r].wrap_count(now);
   }
 
   // Fault and admission totals are read off the timeline, which records

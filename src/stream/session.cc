@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/net/shared_link.h"
+
 namespace volut {
 
 std::string system_name(SystemKind kind) {
@@ -223,14 +225,20 @@ SessionResult run_session(const SessionConfig& config,
                           const SimulatedLink& link,
                           const MotionTrace* motion) {
   SessionEngine engine(config, motion);
-  double clock = 0.0;
-  if (engine.has_startup_download()) {
-    clock = link.download_complete_time(engine.startup_bytes(), clock);
-  }
+  SharedLink net(link.trace);  // one flow per download, one RTT late
+  const auto download = [&](double bytes, double issued_at) {
+    net.start_flow(bytes);
+    const double done = net.next_completion_time(issued_at + link.rtt_seconds);
+    net.advance(issued_at + link.rtt_seconds, done);
+    return done;
+  };
+  double clock = engine.has_startup_download()
+                     ? download(engine.startup_bytes(), 0.0)
+                     : 0.0;
   while (!engine.done()) {
     const ChunkPlan plan =
         engine.plan_chunk(clock, link.trace.bandwidth_at(clock));
-    const double t_done = link.download_complete_time(plan.bytes, clock);
+    const double t_done = download(plan.bytes, clock);
     clock = engine.complete_chunk(plan, clock, t_done);
   }
   return engine.finish();

@@ -380,6 +380,15 @@ TEST(NpyTest, ShapeWhoseByteCountWrapsThrows) {
   }
 }
 
+TEST(NpyTest, ElementCountThrowsOnOverflow) {
+  NpyArray array;
+  array.dtype = "<f2";
+  array.shape = {std::size_t(1) << 32, std::size_t(1) << 32};
+  EXPECT_THROW(array.element_count(), std::runtime_error);
+  array.shape = {std::size_t(1) << 32, 0, std::size_t(1) << 32};
+  EXPECT_EQ(array.element_count(), 0u);
+}
+
 TEST(NpyTest, OverlongShapeEntryThrowsRuntimeError) {
   std::stringstream ss(npy_stream(
       "{'descr': '<f2', 'fortran_order': False, "
@@ -436,6 +445,24 @@ TEST(PlyTest, BadVertexCountsThrowRuntimeError) {
                              "element vertex" + count +
                              "\nend_header\n0 0 0\n";
     EXPECT_THROW(load_ply_text(text), std::runtime_error) << count;
+  }
+}
+
+TEST(PlyTest, NegativeVertexCountIsABadCount) {
+  // Unsigned extraction would read -1 as 2^64 - 1 and then report a
+  // truncated vertex list.
+  for (const char* count : {" -1", " -0", "  -7"}) {
+    const std::string text = std::string("ply\nformat ascii 1.0\n") +
+                             "element vertex" + count +
+                             "\nend_header\n0 0 0\n";
+    try {
+      load_ply_text(text);
+      ADD_FAILURE() << count << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad vertex count"),
+                std::string::npos)
+          << count << ": " << e.what();
+    }
   }
 }
 

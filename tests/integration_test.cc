@@ -12,7 +12,7 @@
 #include "src/abr/mpc.h"
 #include "src/abr/throughput.h"
 #include "src/metrics/chamfer.h"
-#include "src/net/trace.h"
+#include "src/net/shared_link.h"
 #include "src/sr/lut_builder.h"
 #include "src/stream/endpoint.h"
 
@@ -68,9 +68,9 @@ TEST_F(FullSystemTest, AbrDrivenProtocolSession) {
 
   // A link that supports roughly a quarter of full density.
   const double full_mbps = double(manifest.full_chunk_bytes) * 8.0 / 1e6;
-  const SimulatedLink link{BandwidthTrace::lte(full_mbps * 0.25,
-                                               full_mbps * 0.08, 300.0, 3),
-                           0.020};
+  SharedLink link(
+      BandwidthTrace::lte(full_mbps * 0.25, full_mbps * 0.08, 300.0, 3));
+  const double rtt = 0.020;
 
   ContinuousMpcAbr abr;
   ThroughputEstimator estimator(5);
@@ -102,8 +102,9 @@ TEST_F(FullSystemTest, AbrDrivenProtocolSession) {
     total_bytes += double(chunk.wire_bytes);
 
     // Simulated download timing drives the estimator and buffer.
-    const double done = link.download_complete_time(
-        double(chunk.wire_bytes), clock);
+    link.start_flow(double(chunk.wire_bytes));
+    const double done = link.next_completion_time(clock + rtt);
+    link.advance(clock + rtt, done);
     const double dl = done - clock;
     if (dl > 0) {
       estimator.add_sample(double(chunk.wire_bytes) * 8.0 / dl / 1e6);

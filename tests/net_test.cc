@@ -5,10 +5,34 @@
 #include <limits>
 #include <stdexcept>
 
+#include "src/net/shared_link.h"
 #include "src/net/trace.h"
 
 namespace volut {
 namespace {
+
+// Completion time of a `bytes` download issued at `issued_at`, drained as
+// the one flow of a SharedLink the way run_session drains each chunk. The
+// advance must complete it at the peeked time.
+double download_done(const SimulatedLink& link, double bytes,
+                     double issued_at) {
+  SharedLink net(link.trace);
+  net.start_flow(bytes);
+  const double start = issued_at + link.rtt_seconds;
+  const double done = net.next_completion_time(start);
+  if (std::isfinite(done)) {
+    const auto completed = net.advance(start, done);
+    EXPECT_EQ(completed.size(), 1u);
+    EXPECT_EQ(net.active_flows(), 0u);
+  }
+  return done;
+}
+
+// Seconds a download takes on `trace` once its transfer starts at `t0`.
+double transfer_seconds(const BandwidthTrace& trace, double bytes,
+                        double t0) {
+  return download_done(SimulatedLink{trace, 0.0}, bytes, t0) - t0;
+}
 
 TEST(TraceTest, StableTraceIsConstant) {
   const auto trace = BandwidthTrace::stable(50.0, 60.0);
@@ -18,30 +42,30 @@ TEST(TraceTest, StableTraceIsConstant) {
   EXPECT_DOUBLE_EQ(trace.std_mbps(), 0.0);
 }
 
-TEST(TraceTest, TransferTimeOnStableLink) {
+TEST(LinkTest, TransferTimeOnStableLink) {
   const auto trace = BandwidthTrace::stable(80.0, 60.0);
   // 10 MB at 80 Mbps = 1 second.
-  EXPECT_NEAR(trace.transfer_time(10e6, 0.0), 1.0, 1e-9);
+  EXPECT_NEAR(transfer_seconds(trace, 10e6, 0.0), 1.0, 1e-9);
   // Independent of start time on a stable link.
-  EXPECT_NEAR(trace.transfer_time(10e6, 17.3), 1.0, 1e-9);
-  EXPECT_DOUBLE_EQ(trace.transfer_time(0.0, 5.0), 0.0);
+  EXPECT_NEAR(transfer_seconds(trace, 10e6, 17.3), 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(transfer_seconds(trace, 0.0, 5.0), 0.0);
 }
 
-TEST(TraceTest, TransferIntegratesAcrossRateChange) {
+TEST(LinkTest, TransferIntegratesAcrossRateChange) {
   // 1 s at 8 Mbps then 1 s at 80 Mbps, repeating.
   BandwidthTrace trace({8.0, 80.0}, 1.0);
   // 2 MB = 16 Mbit: 8 Mbit in the first second, 8 Mbit in 0.1 s after.
-  EXPECT_NEAR(trace.transfer_time(2e6, 0.0), 1.1, 1e-9);
+  EXPECT_NEAR(transfer_seconds(trace, 2e6, 0.0), 1.1, 1e-9);
 }
 
-TEST(TraceTest, TransferTimeCrossesAnEdgeThatRoundsOntoTheStart) {
+TEST(LinkTest, TransferTimeCrossesAnEdgeThatRoundsOntoTheStart) {
   // At dt 0.1 the edge after t = 4.3 computes as (floor(4.3 / 0.1) + 1) * 0.1,
   // which rounds to 4.3 itself; the walk must still step past it.
   const BandwidthTrace trace(std::vector<double>(100, 80.0), 0.1);
   ASSERT_EQ((std::floor(4.3 / 0.1) + 1.0) * 0.1, 4.3);
   EXPECT_GT(trace.next_edge_after(4.3), 4.3);
   // 1 MB at 80 Mbps = 0.1 s, from any start.
-  EXPECT_NEAR(trace.transfer_time(1e6, 4.3), 0.1, 1e-9);
+  EXPECT_NEAR(transfer_seconds(trace, 1e6, 4.3), 0.1, 1e-9);
 }
 
 TEST(TraceTest, PeriodicExtension) {
@@ -71,10 +95,10 @@ TEST(TraceTest, LteTraceIsDeterministicPerSeed) {
 
 TEST(TraceTest, WrapAccountingExposesPeriodicExtension) {
   BandwidthTrace trace({10.0, 20.0}, 1.0);  // 2 s capture
-  EXPECT_FALSE(trace.wrapped(0.0));
-  EXPECT_FALSE(trace.wrapped(1.999));
-  EXPECT_TRUE(trace.wrapped(2.0));
-  EXPECT_TRUE(trace.wrapped(7.5));
+  EXPECT_FALSE(trace.wrap_count(0.0) > 0);
+  EXPECT_FALSE(trace.wrap_count(1.999) > 0);
+  EXPECT_TRUE(trace.wrap_count(2.0) > 0);
+  EXPECT_TRUE(trace.wrap_count(7.5) > 0);
   EXPECT_EQ(trace.wrap_count(0.5), 0u);
   EXPECT_EQ(trace.wrap_count(2.0), 1u);
   EXPECT_EQ(trace.wrap_count(7.5), 3u);
@@ -83,7 +107,6 @@ TEST(TraceTest, WrapAccountingExposesPeriodicExtension) {
 
 TEST(TraceTest, EmptyTraceNeverWraps) {
   BandwidthTrace trace;
-  EXPECT_FALSE(trace.wrapped(100.0));
   EXPECT_EQ(trace.wrap_count(100.0), 0u);
 }
 
@@ -104,24 +127,41 @@ TEST(TraceTest, AllZeroDeadLinkTraceStaysValid) {
   // them); validation must only reject NaN/negative rates.
   const BandwidthTrace dead({0.0, 0.0}, 1.0);
   EXPECT_DOUBLE_EQ(dead.bandwidth_at(0.5), 0.0);
-  EXPECT_EQ(dead.transfer_time(100.0, 0.0),
+  EXPECT_EQ(transfer_seconds(dead, 100.0, 0.0),
             std::numeric_limits<double>::infinity());
   // A default-constructed (empty) trace is the "no cap" sentinel, not an
   // error.
   EXPECT_TRUE(BandwidthTrace().empty());
 }
 
+TEST(TraceTest, OverlapsDecidesOverOneCommonPeriod) {
+  const BandwidthTrace odd({0.0, 50.0}, 1.0);  // up on odd seconds
+  // Dead and gap-free traces decide at once.
+  EXPECT_FALSE(odd.overlaps(BandwidthTrace({0.0, 0.0}, 1.0)));
+  EXPECT_TRUE(odd.overlaps(BandwidthTrace::stable(5.0)));
+  // Equal widths: up on even seconds never meets up on odd ones.
+  EXPECT_FALSE(odd.overlaps(BandwidthTrace({50.0, 0.0}, 1.0)));
+  // Integer multiples, in either order: half-second samples up in [0, 1).
+  const BandwidthTrace even_half({50.0, 50.0, 0.0, 0.0}, 0.5);
+  EXPECT_FALSE(odd.overlaps(even_half));
+  EXPECT_FALSE(even_half.overlaps(odd));
+  EXPECT_TRUE(odd.overlaps(BandwidthTrace({0.0, 0.0, 50.0, 0.0}, 0.5)));
+  // Periods 2 s and 3 s first meet in [3, 4) of their common 6 s period.
+  EXPECT_TRUE(odd.overlaps(BandwidthTrace({50.0, 0.0, 0.0}, 1.0)));
+  // 1 s against 0.7 s shares no integer grid: undecided, so overlapping.
+  EXPECT_TRUE(odd.overlaps(BandwidthTrace({50.0, 0.0}, 0.7)));
+}
+
 TEST(LinkTest, DownloadIncludesRtt) {
   SimulatedLink link{BandwidthTrace::stable(80.0), 0.010};
   // 1 MB = 8 Mbit at 80 Mbps = 0.1 s, plus 10 ms RTT.
-  EXPECT_NEAR(link.download_complete_time(1e6, 5.0), 5.0 + 0.010 + 0.1, 1e-9);
+  EXPECT_NEAR(download_done(link, 1e6, 5.0), 5.0 + 0.010 + 0.1, 1e-9);
 }
 
 TEST(LinkTest, SlowerTraceTakesLonger) {
   SimulatedLink fast{BandwidthTrace::stable(100.0), 0.010};
   SimulatedLink slow{BandwidthTrace::stable(25.0), 0.010};
-  EXPECT_LT(fast.download_complete_time(5e6, 0.0),
-            slow.download_complete_time(5e6, 0.0));
+  EXPECT_LT(download_done(fast, 5e6, 0.0), download_done(slow, 5e6, 0.0));
 }
 
 }  // namespace

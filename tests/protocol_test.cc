@@ -2,6 +2,7 @@
 // end-to-end client/server endpoints (§6).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -9,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "src/core/rng.h"
 #include "src/metrics/chamfer.h"
 #include "src/stream/endpoint.h"
 #include "src/stream/protocol.h"
@@ -226,6 +228,93 @@ TEST(ProtocolTest, TruncatedFrameStaysPendingAndResumes) {
   const auto out = parser.next();
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->body, m.body);
+}
+
+/// Feeds `bytes` to a FrameParser and decodes the message it yields as its
+/// type says: chunk responses through parse_chunk_views and
+/// decode_frame_into, anything else through decode_error. A parser still
+/// waiting for bytes, a std::runtime_error, or a decode consistent with its
+/// input is sound and returns ""; anything else is described.
+std::string frame_decode_problem(const std::vector<std::uint8_t>& bytes) {
+  try {
+    FrameParser parser;
+    parser.feed(bytes);
+    Message message;
+    if (!parser.next(message)) return "";
+    if (message.type != MessageType::kChunkResponse) {
+      decode_error(message);
+      return "";
+    }
+    std::vector<FrameView> frames;
+    parse_chunk_views(message.body, frames);
+    const std::uint8_t* body_end = message.body.data() + message.body.size();
+    PointCloud cloud;
+    for (const FrameView& frame : frames) {
+      if (frame.payload.data() < message.body.data() ||
+          frame.payload.data() + frame.payload.size() > body_end) {
+        return "frame payload outside the message body";
+      }
+      decode_frame_into(frame, cloud);
+      if (cloud.size() != frame.point_count) {
+        return std::to_string(cloud.size()) + " points for a count of " +
+               std::to_string(frame.point_count);
+      }
+      for (const Vec3f& p : cloud.positions()) {
+        for (int a = 0; a < 3; ++a) {
+          if (!std::isfinite(p[a])) return "non-finite decoded position";
+        }
+      }
+    }
+    return "";
+  } catch (const std::runtime_error&) {
+    return "";
+  } catch (const std::exception& e) {
+    return std::string("threw ") + e.what();
+  }
+}
+
+TEST(ProtocolTest, TruncationsAndByteFlipsThrowOrDecodeConsistently) {
+  // A two-frame chunk response (3 and 2 points, one bounds degenerate on an
+  // axis) and an error response, each framed.
+  PointCloud a, b;
+  a.push_back({0.0f, 1.0f, 2.0f}, Color{10, 20, 30});
+  a.push_back({0.5f, -1.0f, 2.5f}, Color{40, 50, 60});
+  a.push_back({1.0f, 0.0f, 3.0f}, Color{70, 80, 90});
+  b.push_back({4.0f, 4.0f, 0.0f}, Color{1, 2, 3});
+  b.push_back({5.0f, 4.0f, 1.0f}, Color{4, 5, 6});
+  EncodedChunk chunk;
+  chunk.header = {2, 7, 2, 0.5f, 2.0f};
+  chunk.frames = {encode_frame(a), encode_frame(b)};
+  const Message chunk_message = encode_chunk_response(chunk);
+  const Message error_message = encode_error({404});
+  CounterRng rng(32);
+  for (const Message& message : {chunk_message, error_message}) {
+    const std::vector<std::uint8_t> valid = frame_message(message);
+    ASSERT_EQ(frame_decode_problem(valid), "");
+    // Every proper prefix leaves the parser waiting for the rest.
+    for (std::size_t n = 0; n < valid.size(); ++n) {
+      FrameParser parser;
+      parser.feed(valid.data(), n);
+      Message out;
+      EXPECT_FALSE(parser.next(out)) << "first " << n;
+    }
+    // Every shorter body, framed whole, must throw or decode consistently.
+    for (std::size_t n = 0; n < message.body.size(); ++n) {
+      Message cut = message;
+      cut.body.resize(n);
+      EXPECT_EQ(frame_decode_problem(frame_message(cut)), "") << "body " << n;
+    }
+    // Four passes, each flipping every byte in turn by a nonzero mask.
+    for (int pass = 0; pass < 4; ++pass) {
+      for (std::size_t i = 0; i < valid.size(); ++i) {
+        std::vector<std::uint8_t> flipped = valid;
+        const auto mask = static_cast<std::uint8_t>(1 + rng.next(255));
+        flipped[i] ^= mask;
+        EXPECT_EQ(frame_decode_problem(flipped), "")
+            << "byte " << i << " ^ " << int(mask);
+      }
+    }
+  }
 }
 
 class EndpointTest : public ::testing::Test {

@@ -14,6 +14,7 @@
 
 #include "src/core/rng.h"
 #include "src/net/shared_link.h"
+#include "src/platform/timer.h"
 #include "src/serve/encode_cache.h"
 #include "src/serve/encode_queue.h"
 #include "src/serve/fleet.h"
@@ -213,20 +214,6 @@ TEST(DensityBucketTest, NonFiniteAndNegativeRatiosAreDeterministic) {
   EXPECT_EQ(density_bucket(inf, 1), 1u);
 }
 
-TEST(SharedLinkTest, SingleFlowMatchesTransferTime) {
-  const BandwidthTrace trace = BandwidthTrace::lte(40.0, 12.0, 120.0, 5);
-  SharedLink link(trace);
-  const double t0 = 3.7;
-  const double bytes = 25e6;
-  link.start_flow(bytes);
-  const double expected = t0 + trace.transfer_time(bytes, t0);
-  EXPECT_NEAR(link.next_completion_time(t0), expected, 1e-9);
-  const auto done = link.advance(t0, link.next_completion_time(t0));
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_NEAR(done[0].time, expected, 1e-9);
-  EXPECT_EQ(link.active_flows(), 0u);
-}
-
 TEST(SharedLinkTest, EqualFlowsShareCapacityFairly) {
   // Two equal flows on a stable 80 Mbps link: each sees 40 Mbps, so 10 MB
   // flows complete together at t = 2 s — twice the solo transfer time.
@@ -316,6 +303,38 @@ SessionConfig small_session(SystemKind kind) {
   return cfg;
 }
 
+// Every SessionResult and ChunkRecord field of `via_fleet` equals `solo`'s,
+// bit for bit: a 1-client fleet drains each chunk on the same one-flow
+// SharedLink arithmetic that run_session uses.
+void expect_bit_identical(const SessionResult& via_fleet,
+                          const SessionResult& solo) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(via_fleet.system, solo.system);
+  EXPECT_EQ(bits(via_fleet.total_bytes), bits(solo.total_bytes));
+  EXPECT_EQ(bits(via_fleet.stall_seconds), bits(solo.stall_seconds));
+  EXPECT_EQ(bits(via_fleet.qoe), bits(solo.qoe));
+  EXPECT_EQ(bits(via_fleet.mean_quality), bits(solo.mean_quality));
+  EXPECT_EQ(bits(via_fleet.mean_density), bits(solo.mean_density));
+  EXPECT_EQ(via_fleet.quality_switches, solo.quality_switches);
+  EXPECT_EQ(bits(via_fleet.data_usage_fraction),
+            bits(solo.data_usage_fraction));
+  ASSERT_EQ(via_fleet.chunks.size(), solo.chunks.size());
+  for (std::size_t i = 0; i < solo.chunks.size(); ++i) {
+    const ChunkRecord& a = via_fleet.chunks[i];
+    const ChunkRecord& b = solo.chunks[i];
+    EXPECT_EQ(a.index, b.index) << "chunk " << i;
+    EXPECT_EQ(bits(a.density_ratio), bits(b.density_ratio)) << "chunk " << i;
+    EXPECT_EQ(bits(a.bytes), bits(b.bytes)) << "chunk " << i;
+    EXPECT_EQ(bits(a.download_seconds), bits(b.download_seconds))
+        << "chunk " << i;
+    EXPECT_EQ(bits(a.sr_seconds), bits(b.sr_seconds)) << "chunk " << i;
+    EXPECT_EQ(bits(a.stall_seconds), bits(b.stall_seconds)) << "chunk " << i;
+    EXPECT_EQ(bits(a.quality), bits(b.quality)) << "chunk " << i;
+    EXPECT_EQ(bits(a.qoe), bits(b.qoe)) << "chunk " << i;
+    EXPECT_EQ(bits(a.buffer_after), bits(b.buffer_after)) << "chunk " << i;
+  }
+}
+
 TEST(FleetTest, OneClientFleetReproducesRunSession) {
   const BandwidthTrace trace = BandwidthTrace::lte(40.0, 12.0, 300.0, 9);
   const double rtt = 0.020;
@@ -334,20 +353,8 @@ TEST(FleetTest, OneClientFleetReproducesRunSession) {
     const FleetResult result = run_fleet(fleet);
 
     ASSERT_EQ(result.admitted, 1u);
-    const SessionResult& via_fleet = result.sessions[0];
-    ASSERT_EQ(via_fleet.chunks.size(), solo.chunks.size()) << solo.system;
-    EXPECT_NEAR(via_fleet.qoe, solo.qoe,
-                1e-6 * std::max(1.0, std::abs(solo.qoe)))
-        << solo.system;
-    EXPECT_NEAR(via_fleet.total_bytes, solo.total_bytes, 1e-3)
-        << solo.system;
-    EXPECT_NEAR(via_fleet.stall_seconds, solo.stall_seconds, 1e-6)
-        << solo.system;
-    for (std::size_t i = 0; i < solo.chunks.size(); ++i) {
-      EXPECT_NEAR(via_fleet.chunks[i].density_ratio,
-                  solo.chunks[i].density_ratio, 1e-9)
-          << solo.system << " chunk " << i;
-    }
+    SCOPED_TRACE(solo.system);
+    expect_bit_identical(result.sessions[0], solo);
   }
 }
 
@@ -502,9 +509,7 @@ TEST(FleetTest, OneClientParityHoldsWithWaitingRoomAndShardsEnabled) {
 
   ASSERT_EQ(result.admitted, 1u);
   ASSERT_EQ(result.cache_shards.size(), 1u);
-  EXPECT_NEAR(result.sessions[0].qoe, solo.qoe,
-              1e-6 * std::max(1.0, std::abs(solo.qoe)));
-  EXPECT_NEAR(result.sessions[0].total_bytes, solo.total_bytes, 1e-3);
+  expect_bit_identical(result.sessions[0], solo);
   EXPECT_EQ(result.queue_depth_peak, 0u);
   EXPECT_DOUBLE_EQ(result.wait_time.max, 0.0);
 }
@@ -571,7 +576,7 @@ TEST(FleetTest, ReportsUplinkTraceWraps) {
   const FleetResult result = run_fleet(fleet);
   EXPECT_GT(result.sim_seconds, 1.0);
   EXPECT_GE(result.replicas[0].uplink_trace_wraps, 1u);
-  EXPECT_TRUE(fleet.replica_uplinks[0].wrapped(result.sim_seconds));
+  EXPECT_TRUE(fleet.replica_uplinks[0].wrap_count(result.sim_seconds) > 0);
 }
 
 TEST(FleetTest, ConstantUplinkSampledAtAnyWidthRunsTheSameFleet) {
@@ -812,6 +817,64 @@ TEST(SharedLinkTest, DeadTraceReturnsInfinityQuickly) {
   EXPECT_EQ(done[0].id, live);
   EXPECT_EQ(mixed.active_flows(), 1u);
   EXPECT_EQ(mixed.next_completion_time(t), kInf);
+}
+
+TEST(SharedLinkTest, UplinkAndCapThatNeverOverlapAreDead) {
+  // The uplink carries only odd seconds and the cap only even ones, so no
+  // instant has both above zero: the peek answers +inf at once instead of
+  // walking all 10M segments.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const BandwidthTrace cap({50.0, 0.0}, 1.0);
+  SharedLink link(BandwidthTrace({0.0, 50.0}, 1.0));
+  link.start_flow(1e6, &cap);
+  const std::uint64_t walks = link.walks();
+  const Timer timer;
+  EXPECT_EQ(link.next_completion_time(0.0), kInf);
+  EXPECT_LT(timer.elapsed_ms(), 1000.0);
+  EXPECT_EQ(link.walks(), walks + 1);
+  EXPECT_TRUE(link.advance(0.0, 100.0).empty());
+
+  // The same pair with the cap sampled every half second.
+  const BandwidthTrace half_cap({50.0, 50.0, 0.0, 0.0}, 0.5);
+  SharedLink fine(BandwidthTrace({0.0, 50.0}, 1.0));
+  fine.start_flow(1e6, &half_cap);
+  EXPECT_EQ(fine.next_completion_time(0.0), kInf);
+
+  // An uncapped flow beside the dead one still completes: it gets half of
+  // the uplink's 50 Mbps from t = 1, so 1 MB lands at 1 + 8 / 25 s.
+  const std::uint64_t live = link.start_flow(1e6);
+  const double t = link.next_completion_time(0.0);
+  EXPECT_NEAR(t, 1.32, 1e-9);
+  const auto done = link.advance(0.0, t);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].id, live);
+  EXPECT_EQ(link.next_completion_time(t), kInf);
+}
+
+TEST(SharedLinkTest, CapThatMeetsTheUplinkOnlyAtAPeriodOffsetIsLive) {
+  // Uplink period 2 s (up on odd seconds), cap period 3 s (up in the first
+  // second of each): both are up only in [3, 4) of their common 6 s
+  // period. 1 MB = 8 Mbit at 50 Mbps completes 0.16 s into that second.
+  const BandwidthTrace cap({50.0, 0.0, 0.0}, 1.0);
+  SharedLink link(BandwidthTrace({0.0, 50.0}, 1.0));
+  link.start_flow(1e6, &cap);
+  const double t = link.next_completion_time(0.0);
+  EXPECT_NEAR(t, 3.16, 1e-9);
+  const auto done = link.advance(0.0, t);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].time, t);
+}
+
+TEST(SharedLinkTest, IncommensurateUplinkAndCapStayLive) {
+  // 1 s uplink samples against 0.7 s cap samples share no integer grid, so
+  // the flow stays live and the walk finds their overlap: the cap's second
+  // live sample starts at 1.4 s, inside the uplink's live [1, 2).
+  const BandwidthTrace cap({50.0, 0.0}, 0.7);
+  SharedLink link(BandwidthTrace({0.0, 50.0}, 1.0));
+  link.start_flow(1e6, &cap);
+  const double t = link.next_completion_time(0.0);
+  EXPECT_NEAR(t, 1.56, 1e-9);
+  ASSERT_EQ(link.advance(0.0, t).size(), 1u);
 }
 
 TEST(SharedLinkTest, AdvanceCompletesExactlyAtThePeekedTime) {
@@ -1232,6 +1295,24 @@ TEST(FleetTest, DeadUplinkFlagsTruncatedRun) {
   fleet.clients.push_back({session, 0.0, {}, nullptr});
   fleet.replica_uplinks = {BandwidthTrace({0.0, 0.0}, 1.0)};
   const FleetResult result = run_fleet(fleet);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.unfinished_sessions, 1u);
+}
+
+TEST(FleetTest, DeadDownlinkUnderAPausedUplinkFlagsTruncatedRun) {
+  // The client's access link is up only when the uplink is down, so its
+  // flows never drain. Each peek answers +inf at once, and the run ends
+  // truncated well inside the wall bound instead of walking 10M segments
+  // per peek.
+  FleetConfig fleet;
+  SessionConfig session = small_session(SystemKind::kRaw);
+  session.max_chunks = 5;
+  fleet.clients.push_back(
+      {session, 0.0, BandwidthTrace({50.0, 0.0}, 1.0), nullptr});
+  fleet.replica_uplinks = {BandwidthTrace({0.0, 50.0}, 1.0)};
+  const Timer timer;
+  const FleetResult result = run_fleet(fleet);
+  EXPECT_LT(timer.elapsed_ms(), 1000.0);
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.unfinished_sessions, 1u);
 }
